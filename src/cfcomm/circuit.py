@@ -87,7 +87,8 @@ class Circuit:
     def modes(self) -> frozenset[str]:
         names: set[str] = {m for m, _ in self.sources}
         for e in self.elements:
-            names.update(_element_modes(e))
+            ins, outs, _ = e.ports()
+            names.update(ins + outs)
         return frozenset(names)
 
     @property
@@ -95,24 +96,21 @@ class Circuit:
         return {e.name: e.mode for e in self.elements if isinstance(e, Detector)}
 
 
-def _element_modes(e: Element) -> tuple[str, ...]:
-    if isinstance(e, Beamsplitter):
-        return (e.in1, e.in2, e.out1, e.out2)
-    if isinstance(e, (PhaseShift, Eom, Detector)):
-        return (e.mode,)
-    if isinstance(e, (Attenuator, Block)):
-        return (e.mode, e.loss_mode)
-    if isinstance(e, Mirror):
-        return (e.source, e.target)
-    raise TopologyError(f"unknown element type {type(e).__name__}")
+def _label(e: Element) -> str:
+    """Element type and name, for wiring errors."""
+    return " ".join(filter(None, (type(e).__name__, getattr(e, "name", ""))))
 
 
 def validate_circuit(c: Circuit) -> None:
     """Check the wiring is physical: every arm written once, used, terminated.
 
-    Arms move ``virgin -> live -> consumed``.  A virgin arm entering a
-    splitter is a vacuum port; an element acting on a virgin or consumed
-    arm, or an arm left live outside ``open_ports``, is a wiring error.
+    Arms move ``virgin -> live -> consumed``.  An element acts in place on
+    an arm that is both its in-port and its out-port, which must be live.
+    Its other in-ports are consumed; a virgin one is a vacuum port, allowed
+    only on an element with two in-ports (a splitter).  Its other out-ports
+    must be virgin and become live.  An element acting on a virgin or
+    consumed arm, or an arm left live outside ``open_ports``, is a wiring
+    error.
     """
     status = {m: "virgin" for m in c.modes}
     for mode, _ in c.sources:
@@ -120,47 +118,26 @@ def validate_circuit(c: Circuit) -> None:
             raise TopologyError(f"duplicate source on arm {mode!r}")
         status[mode] = "live"
 
-    def need_live(mode: str, what: str) -> None:
-        if status[mode] != "live":
-            raise TopologyError(f"{what} acts on {status[mode]} arm {mode!r}")
-
-    def open_new(mode: str, what: str) -> None:
-        if status[mode] != "virgin":
-            raise TopologyError(f"{what} writes into already-used arm {mode!r}")
-        status[mode] = "live"
-
     names = set()
     for e in c.elements:
-        if isinstance(e, Beamsplitter):
-            if e.in1 == e.in2 or e.out1 == e.out2:
-                raise TopologyError(f"splitter {e.name or '?'} ports must differ")
-            for m in (e.in1, e.in2):
-                if status[m] == "consumed":
-                    raise TopologyError(
-                        f"splitter {e.name or '?'} reuses consumed arm {m!r}")
-                status[m] = "consumed"  # virgin input = vacuum port
-            for m in (e.out1, e.out2):
-                open_new(m, f"splitter {e.name or '?'}")
-        elif isinstance(e, (PhaseShift, Eom)):
-            need_live(e.mode, type(e).__name__)
-        elif isinstance(e, Attenuator):
-            need_live(e.mode, "attenuator")
-            open_new(e.loss_mode, "attenuator loss port")
-        elif isinstance(e, Block):
-            need_live(e.mode, "shutter")
-            open_new(e.loss_mode, "shutter loss port")
-        elif isinstance(e, Mirror):
-            need_live(e.source, "mirror")
-            status[e.source] = "consumed"
-            open_new(e.target, "mirror")
-        elif isinstance(e, Detector):
-            need_live(e.mode, f"detector {e.name}")
-            status[e.mode] = "consumed"
+        ins, outs, _ = e.ports()
+        if len(set(ins)) < len(ins) or len(set(outs)) < len(outs):
+            raise TopologyError(f"{_label(e)} ports must differ")
+        for m in ins:
+            vacuum = status[m] == "virgin" and len(ins) > 1 and m not in outs
+            if status[m] != "live" and not vacuum:
+                raise TopologyError(f"{_label(e)} acts on {status[m]} arm {m!r}")
+            if m not in outs:
+                status[m] = "consumed"
+        for m in outs:
+            if m not in ins:
+                if status[m] != "virgin":
+                    raise TopologyError(f"{_label(e)} writes into already-used arm {m!r}")
+                status[m] = "live"
+        if isinstance(e, Detector):
             if e.name in names:
                 raise TopologyError(f"duplicate detector name {e.name!r}")
             names.add(e.name)
-        else:
-            raise TopologyError(f"unknown element type {type(e).__name__}")
 
     dangling = [m for m in sorted(status)
                 if status[m] == "live" and m not in c.open_ports]
@@ -201,9 +178,10 @@ def backward_cuts(circuit: Circuit, detector: str) -> list[PhotonState]:
     """Backward (postselected) state at every cut, aligned with forward cuts.
 
     Starts as a unit carrier amplitude on the clicked detector's arm and
-    runs every element's adjoint in reverse.  The shutter's adjoint blocks
-    the backward state exactly as the forward one, so both vectors vanish
-    behind closed shutters.
+    runs every element's adjoint in reverse.  A closed shutter is a
+    zero-transmission attenuator, so its adjoint darkens the backward state
+    on the shutter arm exactly as the forward step darkens the forward one:
+    both vectors vanish behind closed shutters.
     """
     mode = circuit.detectors.get(detector)
     if mode is None:
@@ -247,12 +225,10 @@ def two_state_vector(circuit: Circuit, detector: str,
 
 
 def _consuming_index(circuit: Circuit, arm: str) -> int:
+    """First element that takes the arm in without giving it back out."""
     for k, e in enumerate(circuit.elements):
-        if isinstance(e, Beamsplitter) and arm in (e.in1, e.in2):
-            return k
-        if isinstance(e, Mirror) and arm == e.source:
-            return k
-        if isinstance(e, Detector) and arm == e.mode:
+        ins, outs, _ = e.ports()
+        if arm in ins and arm not in outs:
             return k
     raise TopologyError(f"arm {arm!r} is never consumed in this circuit")
 

@@ -9,7 +9,8 @@ reference setup.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import ConfigError
@@ -22,6 +23,9 @@ BS_NAMES = ("outer", "inner_near", "inner_far")
 
 #: the five modulator positions on the bench
 EOM_SITES = ("entry", "reference", "shutter_arm", "open_arm", "link")
+
+#: trial counts per bin stay well inside int64 through the decoder's sums
+MAX_TRIALS_PER_BIN = 2.0 ** 62
 
 
 @dataclass(frozen=True)
@@ -71,11 +75,6 @@ class ImperfectionModel:
             raise ConfigError("dark_rate must be in [0, 1)")
         if not 0.0 < self.heralding_efficiency <= 1.0:
             raise ConfigError("heralding_efficiency must be in (0, 1]")
-
-    @property
-    def ideal(self) -> bool:
-        return (self.visibility_inner == 1.0 and self.visibility_outer == 1.0
-                and self.dark_rate == 0.0 and self.heralding_efficiency == 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,12 @@ class DeviceConfig:
             raise ConfigError("photon_rate_hz must be positive")
         if self.bin_duration_s <= 0.0:
             raise ConfigError("bin_duration_s must be positive")
-        if self.photon_rate_hz * self.bin_duration_s < 1.0:
+        trials = self.photon_rate_hz * self.bin_duration_s
+        if trials < 1.0:
             raise ConfigError("a detection bin must hold at least one trial")
+        if not trials <= MAX_TRIALS_PER_BIN:
+            raise ConfigError(
+                f"a detection bin may hold at most 2**62 trials, got {trials:g}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -152,25 +155,25 @@ class DeviceConfig:
                 return e
         raise ConfigError(f"no modulator at site {site!r}")
 
-    def eom_labelled(self, label: str) -> EomSpec:
-        for e in self.eoms:
-            if e.label == label:
-                return e
-        raise ConfigError(f"no modulator with label {label!r}")
-
     @property
     def trials_per_bin(self) -> int:
         return int(self.photon_rate_hz * self.bin_duration_s)
 
-    def with_imperfections(self, imp: ImperfectionModel) -> "DeviceConfig":
-        return replace(self, imperfections=imp)
+
+def _real(value, name: str) -> float:
+    """A finite float from JSON (which also spells NaN and +-Infinity)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 def _parse_etalon(obj) -> Etalon:
     try:
-        return Etalon(fsr_ghz=float(obj["fsr_ghz"]),
-                      linewidth_ghz=float(obj["linewidth_ghz"]),
-                      center_offset_ghz=float(obj.get("center_offset_ghz", 0.0)))
+        return Etalon(fsr_ghz=_real(obj["fsr_ghz"], "fsr_ghz"),
+                      linewidth_ghz=_real(obj["linewidth_ghz"], "linewidth_ghz"),
+                      center_offset_ghz=_real(obj.get("center_offset_ghz", 0.0),
+                                              "center_offset_ghz"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed etalon entry {obj!r}: {exc}") from None
 
@@ -183,16 +186,21 @@ def config_from_dict(raw: dict) -> DeviceConfig:
         eoms_raw = raw["eoms"]
         eoms = tuple(
             EomSpec(site=site, label=str(spec["label"]),
-                    freq_ghz=float(spec["freq_ghz"]), alpha=float(spec["alpha"]))
+                    freq_ghz=_real(spec["freq_ghz"], "freq_ghz"),
+                    alpha=_real(spec["alpha"], "alpha"))
             for site, spec in sorted(eoms_raw.items()))
         bs = raw.get("beamsplitter_r2", 0.5)
         if isinstance(bs, dict):
-            bs = tuple(sorted((str(k), float(v)) for k, v in bs.items()))
+            bs = tuple(sorted((str(k), _real(v, "beamsplitter_r2"))
+                              for k, v in bs.items()))
         else:
-            bs = float(bs)
+            bs = _real(bs, "beamsplitter_r2")
         att = raw.get("attenuator_t", "auto")
         if not isinstance(att, str):
-            att = float(att)
+            att = _real(att, "attenuator_t")
+        seed = raw.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
         imp = ImperfectionModel(**raw.get("imperfections", {}))
         return DeviceConfig(
             eoms=eoms,
@@ -201,12 +209,13 @@ def config_from_dict(raw: dict) -> DeviceConfig:
             source_etalons=tuple(_parse_etalon(e)
                                  for e in raw.get("source_etalons", ())),
             scan_etalon=_parse_etalon(raw["scan_etalon"]),
-            source_raw_linewidth_ghz=float(
-                raw.get("source_raw_linewidth_ghz", 1000.0)),
+            source_raw_linewidth_ghz=_real(
+                raw.get("source_raw_linewidth_ghz", 1000.0),
+                "source_raw_linewidth_ghz"),
             imperfections=imp,
-            photon_rate_hz=float(raw.get("photon_rate_hz", 1000.0)),
-            bin_duration_s=float(raw.get("bin_duration_s", 1.0)),
-            seed=int(raw.get("seed", 0)),
+            photon_rate_hz=_real(raw.get("photon_rate_hz", 1000.0), "photon_rate_hz"),
+            bin_duration_s=_real(raw.get("bin_duration_s", 1.0), "bin_duration_s"),
+            seed=seed,
         )
     except ConfigError:
         raise

@@ -3,8 +3,16 @@
 The photon state at any cut through the bench is a sparse map from
 ``(arm name, sideband tag)`` to a complex amplitude.  A sideband tag records
 the chain of modulator kicks a component has received; the empty chain is
-the unshifted carrier.  Every optical element is a small dataclass, and
-:func:`apply_element` turns a state into the state after that element.
+the unshifted carrier.  Every optical element is a small dataclass whose
+``ports()`` give its in-ports, its out-ports and, for a linear element, a
+small port matrix ``M`` (rows: out-ports, columns: in-ports), the same for
+every sideband tag.  One routine moves amplitudes through it:
+:func:`apply_element` applies ``M`` from the in-ports to the out-ports, and
+:func:`apply_adjoint`, the step of backward evolution, applies ``M^H`` from
+the out-ports back to the in-ports.  A shutter (:func:`Block`) is an
+attenuator with transmission 0.  Only the modulator, which writes sideband
+tags forward and is the identity backward, and the detector, the identity
+both ways, have no matrix.
 
 Two modelling choices live here and nowhere else:
 
@@ -30,12 +38,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from operator import mul
+from typing import Iterator, Mapping, Optional, Union
 
 from .errors import ConfigError, TopologyError
 
 #: validity limit of the first-order sideband treatment
 ALPHA_MAX = 0.5
+
+#: an element's (in-ports, out-ports, port matrix or None)
+Ports = tuple[tuple[str, ...], tuple[str, ...], Optional[tuple[tuple[complex, ...], ...]]]
 
 
 @dataclass(frozen=True)
@@ -124,10 +136,6 @@ class PhotonState:
         return sum(abs(a) ** 2 for (m, tag), a in self.amps.items()
                    if m == mode and label in tag.labels)
 
-    def finite(self) -> bool:
-        return all(math.isfinite(a.real) and math.isfinite(a.imag)
-                   for a in self.amps.values())
-
 
 # --------------------------------------------------------------------------
 # elements
@@ -165,12 +173,21 @@ class Beamsplitter:
             raise ConfigError(f"splitter {name or '?'}: r^2 must be in (0, 1), got {r2}")
         return cls(in1, in2, out1, out2, math.sqrt(r2), math.sqrt(1.0 - r2), 0.0, name)
 
+    def ports(self) -> Ports:
+        t, r = self.transmit_amp, self.reflect_amp
+        return ((self.in1, self.in2), (self.out1, self.out2),
+                ((t, 1j * r * cmath.exp(1j * self.phase)),
+                 (1j * r * cmath.exp(-1j * self.phase), t)))
+
 
 @dataclass(frozen=True)
 class PhaseShift:
     mode: str
     radians: float
     name: str = ""
+
+    def ports(self) -> Ports:
+        return (self.mode,), (self.mode,), ((cmath.exp(1j * self.radians),),)
 
 
 @dataclass(frozen=True)
@@ -185,6 +202,31 @@ class Attenuator:
         if not 0.0 <= self.amp_transmission <= 1.0:
             raise ConfigError(
                 f"attenuator transmission must be in [0, 1], got {self.amp_transmission}")
+
+    def ports(self) -> Ports:
+        t = self.amp_transmission
+        return ((self.mode,), (self.mode, self.loss_mode),
+                ((t,), (math.sqrt(max(0.0, 1.0 - t * t)),)))
+
+
+def Block(mode: str, loss_mode: str) -> Attenuator:
+    """Shutter: everything on the arm is absorbed (moved to the loss arm).
+
+    The arm itself stays in place, dark, so elements after the shutter may
+    still act on it.
+    """
+    return Attenuator(mode, 0.0, loss_mode)
+
+
+@dataclass(frozen=True)
+class Mirror:
+    """Ideal fold: relabels one arm into another."""
+
+    source: str
+    target: str
+
+    def ports(self) -> Ports:
+        return (self.source,), (self.target,), ((1.0,),)
 
 
 @dataclass(frozen=True)
@@ -206,30 +248,22 @@ class Eom:
         if self.freq_ghz <= 0.0:
             raise ConfigError(f"modulator frequency must be positive, got {self.freq_ghz}")
 
-
-@dataclass(frozen=True)
-class Block:
-    """Shutter: everything on the arm is absorbed (moved to the loss arm)."""
-
-    mode: str
-    loss_mode: str
-
-
-@dataclass(frozen=True)
-class Mirror:
-    """Ideal fold: relabels one arm into another."""
-
-    source: str
-    target: str
+    def ports(self) -> Ports:
+        return (self.mode,), (self.mode,), None
 
 
 @dataclass(frozen=True)
 class Detector:
+    """Counts what reaches its arm; the arm ends here, the state is kept."""
+
     mode: str
     name: str
 
+    def ports(self) -> Ports:
+        return (self.mode,), (), None
 
-Element = Union[Beamsplitter, PhaseShift, Attenuator, Eom, Block, Mirror, Detector]
+
+Element = Union[Beamsplitter, PhaseShift, Attenuator, Eom, Mirror, Detector]
 
 
 def _check_modes(state: PhotonState, *modes: str) -> None:
@@ -245,84 +279,9 @@ def apply_element(state: PhotonState, e: Element, max_order: int = 1) -> PhotonS
     1 is the standard first-order model, 2 adds the doubly-shifted terms
     used only to bound the truncation error.
     """
-    out = state.copy()
-    amps = out.amps
-
-    if isinstance(e, Beamsplitter):
-        _check_modes(state, e.in1, e.in2, e.out1, e.out2)
-        t = e.transmit_amp
-        re_up = 1j * e.reflect_amp * cmath.exp(1j * e.phase)
-        re_dn = 1j * e.reflect_amp * cmath.exp(-1j * e.phase)
-        tags = {tag for (m, tag) in amps if m in (e.in1, e.in2)}
-        for tag in sorted(tags, key=lambda g: g.sort_key):
-            a1 = amps.pop((e.in1, tag), 0j)
-            a2 = amps.pop((e.in2, tag), 0j)
-            o1 = t * a1 + re_up * a2
-            o2 = re_dn * a1 + t * a2
-            if o1 != 0j:
-                amps[(e.out1, tag)] = amps.get((e.out1, tag), 0j) + o1
-            if o2 != 0j:
-                amps[(e.out2, tag)] = amps.get((e.out2, tag), 0j) + o2
-
-    elif isinstance(e, PhaseShift):
-        _check_modes(state, e.mode)
-        ph = cmath.exp(1j * e.radians)
-        for key in [k for k in amps if k[0] == e.mode]:
-            amps[key] = amps[key] * ph
-
-    elif isinstance(e, Attenuator):
-        _check_modes(state, e.mode, e.loss_mode)
-        t = e.amp_transmission
-        s = math.sqrt(max(0.0, 1.0 - t * t))
-        for key in [k for k in amps if k[0] == e.mode]:
-            a = amps[key]
-            amps[key] = t * a
-            if s != 0.0 and a != 0j:
-                lk = (e.loss_mode, key[1])
-                amps[lk] = amps.get(lk, 0j) + s * a
-
-    elif isinstance(e, Eom):
-        _check_modes(state, e.mode)
-        if e.rf_phase is None:
-            up, dn, inst = complex(e.alpha), complex(e.alpha), e.instance
-        else:
-            up = e.alpha * cmath.exp(1j * e.rf_phase)
-            dn = e.alpha * cmath.exp(-1j * e.rf_phase)
-            inst = 0  # shared bucket: passes interfere, as for a locked RF phase
-        # snapshot (key, amplitude) first: each INPUT component radiates
-        # independently, so freshly written sidebands must not be re-read
-        for key, a in [(k, amps[k]) for k in amps if k[0] == e.mode]:
-            tag = key[1]
-            if tag.order >= max_order:
-                continue  # already at the truncation depth: passes unchanged
-            if a == 0j or e.alpha == 0.0:
-                continue
-            ku = (e.mode, tag.shifted(e.label, +1, inst))
-            kd = (e.mode, tag.shifted(e.label, -1, inst))
-            amps[ku] = amps.get(ku, 0j) + up * a
-            amps[kd] = amps.get(kd, 0j) + dn * a
-
-    elif isinstance(e, Block):
-        _check_modes(state, e.mode, e.loss_mode)
-        for key in [k for k in amps if k[0] == e.mode]:
-            a = amps.pop(key)
-            lk = (e.loss_mode, key[1])
-            amps[lk] = amps.get(lk, 0j) + a
-
-    elif isinstance(e, Mirror):
-        _check_modes(state, e.source, e.target)
-        for key in [k for k in amps if k[0] == e.source]:
-            a = amps.pop(key)
-            tk = (e.target, key[1])
-            amps[tk] = amps.get(tk, 0j) + a
-
-    elif isinstance(e, Detector):
-        _check_modes(state, e.mode)
-
-    else:
-        raise TopologyError(f"unknown element type {type(e).__name__}")
-
-    return out
+    if isinstance(e, Eom):
+        return _modulate(state, e, max_order)
+    return _transfer(state, e, adjoint=False)
 
 
 def apply_adjoint(state: PhotonState, e: Element) -> PhotonState:
@@ -332,80 +291,71 @@ def apply_adjoint(state: PhotonState, e: Element) -> PhotonState:
     Modulators act as the identity there — at first order the sidebands are
     forward-generated bookkeeping and never feed back into the carrier.
     """
+    return _transfer(state, e, adjoint=True)
+
+
+def _transfer(state: PhotonState, e: Element, adjoint: bool) -> PhotonState:
+    """Apply ``M`` (ins -> outs) or, for the adjoint, ``M^H`` (outs -> ins).
+
+    Where two arms feed the step, tags are visited in sorted order, so the
+    float sums and the insertion order of the result do not depend on the
+    hash seed; a single feeding arm keeps its own insertion order.  An arm
+    on both sides of the step is updated in place; an output that comes out
+    exactly zero is not stored.
+    """
+    ins, outs, m = e.ports()
+    _check_modes(state, *ins, *outs)
     out = state.copy()
+    if m is None:
+        return out
     amps = out.amps
-
-    if isinstance(e, Beamsplitter):
-        _check_modes(state, e.in1, e.in2, e.out1, e.out2)
-        t = e.transmit_amp
-        # conjugate transpose of the forward matrix
-        ue_up = -1j * e.reflect_amp * cmath.exp(1j * e.phase)
-        ue_dn = -1j * e.reflect_amp * cmath.exp(-1j * e.phase)
-        tags = {tag for (m, tag) in amps if m in (e.out1, e.out2)}
-        for tag in sorted(tags, key=lambda g: g.sort_key):
-            b1 = amps.pop((e.out1, tag), 0j)
-            b2 = amps.pop((e.out2, tag), 0j)
-            i1 = t * b1 + ue_up * b2
-            i2 = ue_dn * b1 + t * b2
-            if i1 != 0j:
-                amps[(e.in1, tag)] = amps.get((e.in1, tag), 0j) + i1
-            if i2 != 0j:
-                amps[(e.in2, tag)] = amps.get((e.in2, tag), 0j) + i2
-
-    elif isinstance(e, PhaseShift):
-        _check_modes(state, e.mode)
-        ph = cmath.exp(-1j * e.radians)
-        for key in [k for k in amps if k[0] == e.mode]:
-            amps[key] = amps[key] * ph
-
-    elif isinstance(e, Attenuator):
-        _check_modes(state, e.mode, e.loss_mode)
-        t = e.amp_transmission
-        s = math.sqrt(max(0.0, 1.0 - t * t))
-        tags = {tag for (m, tag) in amps if m in (e.mode, e.loss_mode)}
-        for tag in sorted(tags, key=lambda g: g.sort_key):
-            bm = amps.pop((e.mode, tag), 0j)
-            bl = amps.pop((e.loss_mode, tag), 0j)
-            i = t * bm + s * bl
-            if i != 0j:
-                amps[(e.mode, tag)] = i
-
-    elif isinstance(e, Eom):
-        _check_modes(state, e.mode)
-
-    elif isinstance(e, Block):
-        _check_modes(state, e.mode, e.loss_mode)
-        # forward: loss' = mode + loss, mode' = 0; adjoint: mode <- loss'
-        for key in [k for k in amps if k[0] == e.mode]:
-            del amps[key]
-        for (m, tag), a in list(amps.items()):
-            if m == e.loss_mode and a != 0j:
-                amps[(e.mode, tag)] = a
-
-    elif isinstance(e, Mirror):
-        _check_modes(state, e.source, e.target)
-        for key in [k for k in amps if k[0] == e.target]:
-            a = amps.pop(key)
-            sk = (e.source, key[1])
-            amps[sk] = amps.get(sk, 0j) + a
-
-    elif isinstance(e, Detector):
-        _check_modes(state, e.mode)
-
+    if adjoint:
+        src, dst = outs, ins
+        m = [[x.conjugate() for x in col] for col in zip(*m)]
     else:
-        raise TopologyError(f"unknown element type {type(e).__name__}")
-
+        src, dst = ins, outs
+    if len(src) == 1:
+        tags = [tag for (mode, tag) in amps if mode == src[0]]
+    else:
+        tags = sorted({tag for (mode, tag) in amps if mode in src},
+                      key=lambda g: g.sort_key)
+    for tag in tags:
+        a = [amps.get((mode, tag), 0j) if mode in dst
+             else amps.pop((mode, tag), 0j) for mode in src]
+        for mode, row in zip(dst, m):
+            o = sum(map(mul, row, a))
+            key = (mode, tag)
+            if mode in src:
+                if o != 0j:
+                    amps[key] = o
+                else:
+                    amps.pop(key, None)
+            elif o != 0j:
+                amps[key] = amps.get(key, 0j) + o
     return out
 
 
-# free-function aliases for the state queries
-def norm(state: PhotonState) -> float:
-    return state.norm()
-
-
-def mode_prob(state: PhotonState, mode: str) -> float:
-    return state.mode_prob(mode)
-
-
-def tag_prob(state: PhotonState, mode: str, label: str) -> float:
-    return state.tag_prob(mode, label)
+def _modulate(state: PhotonState, e: Eom, max_order: int) -> PhotonState:
+    """Forward modulator pass: each input component radiates two sidebands."""
+    _check_modes(state, e.mode)
+    out = state.copy()
+    amps = out.amps
+    if e.rf_phase is None:
+        up, dn, inst = complex(e.alpha), complex(e.alpha), e.instance
+    else:
+        up = e.alpha * cmath.exp(1j * e.rf_phase)
+        dn = e.alpha * cmath.exp(-1j * e.rf_phase)
+        inst = 0  # shared bucket: passes interfere, as for a locked RF phase
+    # snapshot (key, amplitude) first: each INPUT component radiates
+    # independently, so freshly written sidebands must not be re-read
+    for key, a in [(k, amps[k]) for k in amps if k[0] == e.mode]:
+        tag = key[1]
+        if tag.order >= max_order:
+            continue  # already at the truncation depth: passes unchanged
+        if a == 0j or e.alpha == 0.0:
+            continue
+        ku = (e.mode, tag.shifted(e.label, +1, inst))
+        kd = (e.mode, tag.shifted(e.label, -1, inst))
+        amps[ku] = amps.get(ku, 0j) + up * a
+        amps[kd] = amps.get(kd, 0j) + dn * a
+    return out

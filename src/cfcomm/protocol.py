@@ -8,9 +8,10 @@ from them, and moves whole bitmaps.
 
 Slow interferometer drift is modelled as a four-sector mixture: each loop
 is either coherent or fully dephased during a detection bin, with weights
-set by its fringe visibility.  The dephased averages are taken over an
-equispaced phase grid, which is exact here — the probabilities are
-trigonometric polynomials of low order in the drift phases.
+set by its fringe visibility.  The detector amplitudes are polynomials of
+low degree in the drift phase factors, so six probe propagations give
+their coefficients exactly, and the dephased averages follow from those
+coefficients in closed form; no phase grid is sampled.
 
 Sampling never loops over trials: the trial count to the first click, the
 number of wrong clicks among a fixed quota, and the extra trials needed to
@@ -30,9 +31,11 @@ import numpy as np
 from scipy import stats
 from scipy.optimize import brentq
 
-from .circuit import REFERENCE, SHUTTER_1, SHUTTER_2, build_circuit, detection_probs
+from .circuit import (DET0, DET1, REFERENCE, SHUTTER_1, SHUTTER_2, build_circuit,
+                      propagate)
 from .config import DeviceConfig, ImperfectionModel
 from .errors import ConfigError, FitInfeasibleError
+from .optics import CARRIER
 from .rand import bit_uniforms
 
 __all__ = [
@@ -42,10 +45,12 @@ __all__ = [
     "transmit_image", "read_pbm", "write_pbm",
 ]
 
-#: equispaced points per dephasing average; exact for harmonics below half this
-PHASE_GRID = 16
-
 _PRESET_BY_BIT = ("bit0", "bit1")
+
+#: inner-drift probes: the cube roots of unity resolve a degree-2 polynomial
+_INNER_PROBES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+#: reference-drift probes: +-1 resolve a degree-1 polynomial
+_REFERENCE_PROBES = (0.0, math.pi)
 
 
 # --------------------------------------------------------------------------
@@ -57,26 +62,29 @@ def sector_probs(cfg: DeviceConfig, preset: str) -> dict[str, tuple[float, float
     """(det0, det1) probabilities in the four drift sectors of one preset.
 
     Keys are two letters, inner loop first: 'c' coherent, 'd' dephased.
+    A detector amplitude is ``sum c_jk z^j w^k`` in the inner drift
+    ``z = e^{i delta}`` (degree 2: two passes) and the reference drift
+    ``w = e^{i theta}`` (degree 1).  Six probe propagations on the 3 x 2 grid
+    of roots of unity give every ``c_jk`` exactly through a DFT, and a
+    dephased loop averages its harmonics away incoherently (Parseval):
+    ``cc = |sum c|^2``, ``dc = sum_j |sum_k c_jk|^2``,
+    ``cd = sum_k |sum_j c_jk|^2`` and ``dd = sum |c_jk|^2``.
     """
-    thetas = [2.0 * math.pi * k / PHASE_GRID for k in range(PHASE_GRID)]
-
-    def probs(extra: dict[str, float] | None) -> np.ndarray:
-        c = build_circuit(cfg, preset, include_eoms=False, extra_phases=extra)
-        d = detection_probs(c)
-        return np.array([d["det0"], d["det1"]])
-
-    def inner(delta: float, theta: float | None = None) -> dict[str, float]:
-        extra = {SHUTTER_1: delta, SHUTTER_2: delta}
-        if theta is not None:
-            extra[REFERENCE] = theta
-        return extra
-
-    cc = probs(None)
-    dc = sum(probs(inner(d)) for d in thetas) / PHASE_GRID
-    cd = sum(probs({REFERENCE: t}) for t in thetas) / PHASE_GRID
-    dd = sum(probs(inner(d, t)) for d in thetas for t in thetas) / PHASE_GRID ** 2
-    return {"cc": (cc[0], cc[1]), "dc": (dc[0], dc[1]),
-            "cd": (cd[0], cd[1]), "dd": (dd[0], dd[1])}
+    grid = (len(_INNER_PROBES), len(_REFERENCE_PROBES))
+    amps = np.empty(grid + (2,), complex)  # probe j, probe k, (det0, det1)
+    for j, delta in enumerate(_INNER_PROBES):
+        for k, theta in enumerate(_REFERENCE_PROBES):
+            terminal = propagate(build_circuit(
+                cfg, preset, include_eoms=False, extra_phases={
+                    SHUTTER_1: delta, SHUTTER_2: delta, REFERENCE: theta}))
+            amps[j, k] = terminal.amp(DET0, CARRIER), terminal.amp(DET1, CARRIER)
+    coeffs = np.fft.fft2(amps, axes=(0, 1)) / (grid[0] * grid[1])
+    cc = np.abs(amps[0, 0]) ** 2  # the undrifted probe itself
+    dc = (np.abs(coeffs.sum(axis=1)) ** 2).sum(axis=0)
+    cd = (np.abs(coeffs.sum(axis=0)) ** 2).sum(axis=0)
+    dd = (np.abs(coeffs) ** 2).sum(axis=(0, 1))
+    return {name: (float(p[0]), float(p[1]))
+            for name, p in (("cc", cc), ("dc", dc), ("cd", cd), ("dd", dd))}
 
 
 def mixture_probs(cfg: DeviceConfig, preset: str,
@@ -190,12 +198,9 @@ def two_path_contrast(visibility: float) -> float:
         raise ConfigError(f"visibility must be in [0, 1], got {visibility}")
 
     def fringe(phi: float) -> float:
+        # (1 + cos)/2 over one drift period averages to exactly 1/2
         coherent = abs(0.5 * (1.0 + math.cos(phi))) ** 2 + (0.5 * math.sin(phi)) ** 2
-        dephased = sum(abs(0.5 * (1.0 + math.cos(phi + t))) ** 2
-                       + (0.5 * math.sin(phi + t)) ** 2
-                       for t in (2.0 * math.pi * k / PHASE_GRID
-                                 for k in range(PHASE_GRID))) / PHASE_GRID
-        return visibility * coherent + (1.0 - visibility) * dephased
+        return visibility * coherent + (1.0 - visibility) * 0.5
 
     bright, dark = fringe(0.0), fringe(math.pi)
     return (bright - dark) / (bright + dark)

@@ -77,6 +77,7 @@ def bit_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
     bit ``Generator(Philox(key=...).jumped(start + i)).random(draws)``, so
     block sampling and one-at-a-time sampling agree.
     """
+    seed, start = int(seed), int(start)  # numpy integers cannot take the masks
     key = [int(k) for k in np.random.Philox(
         key=[seed & _MASK64, BIT_STREAM_SALT]).state["state"]["key"]]
     # counter words 2 and 3 hold the 128-bit channel-use index start + i;

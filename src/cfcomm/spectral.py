@@ -51,10 +51,6 @@ class Etalon:
         return 1.0 / (1.0 + (2.0 * self.finesse / math.pi) ** 2 * s * s)
 
 
-def etalon_transmission(e: Etalon, detuning_ghz: float) -> float:
-    return e.transmission(detuning_ghz)
-
-
 # --------------------------------------------------------------------------
 # source filtering
 # --------------------------------------------------------------------------

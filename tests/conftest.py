@@ -1,5 +1,7 @@
+import json
 import os
 import sys
+from importlib import resources
 from pathlib import Path
 
 # make the sibling oracle module importable from any test file
@@ -20,3 +22,9 @@ def child_env(**overrides: str) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p)
     return env
+
+
+def reference_dict() -> dict:
+    """The packaged reference config as parsed JSON, for tests to edit."""
+    text = (resources.files("cfcomm") / "data" / "reference-bench.json").read_text()
+    return json.loads(text)

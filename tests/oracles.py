@@ -220,6 +220,31 @@ SECTORS_BIT1 = {
 }
 
 
+#: equispaced points per drift average: exact for harmonics below 16
+PHASE_GRID = 16
+
+
+def grid_sectors(probs) -> dict[str, tuple[float, float]]:
+    """The four drift sectors as equispaced phase-grid averages.
+
+    ``probs(delta, theta)`` gives the (det0, det1) probabilities with the
+    inner drift phase ``delta`` on both blockable arms and the outer drift
+    phase ``theta`` on the lower arm C.  A detector probability holds
+    harmonics up to 2 in ``delta`` and 1 in ``theta``, so the 16-point
+    average is exact; it is the brute-force reference for the sector model.
+    """
+    grid = [2.0 * math.pi * k / PHASE_GRID for k in range(PHASE_GRID)]
+
+    def mean(points) -> tuple[float, float]:
+        vals = np.array([probs(d, t) for d, t in points])
+        return tuple(vals.sum(axis=0) / len(vals))
+
+    return {"cc": tuple(probs(0.0, 0.0)),
+            "dc": mean((d, 0.0) for d in grid),
+            "cd": mean((0.0, t) for t in grid),
+            "dd": mean((d, t) for d in grid for t in grid)}
+
+
 def mixture_probs(sectors, v_inner: float, v_outer: float) -> tuple[float, float]:
     w = {"cc": v_inner * v_outer, "dc": (1 - v_inner) * v_outer,
          "cd": v_inner * (1 - v_outer), "dd": (1 - v_inner) * (1 - v_outer)}

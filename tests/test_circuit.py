@@ -13,7 +13,8 @@ from cfcomm.circuit import (Circuit, build_circuit, calibration_tuning,
                             propagate_cuts, solve_tuning, validate_circuit)
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
-from cfcomm.optics import Beamsplitter, Detector, Mirror, PhaseShift
+from cfcomm.optics import (Attenuator, Beamsplitter, Block, Detector, Mirror,
+                           PhaseShift)
 
 import oracles
 
@@ -190,6 +191,27 @@ def test_validate_rejects_write_into_used_arm():
                  Mirror("c", "a2"), Detector("a2", "da")),
                 (("a", 1.0 + 0j),), frozenset())
     with pytest.raises(TopologyError, match="already-used"):
+        validate_circuit(c)
+
+
+@pytest.mark.parametrize("elements,match", [
+    ((Beamsplitter.from_r2(0.5, "a", "a", "c", "d"),
+      Detector("c", "dc"), Detector("d", "dd")), "ports must differ"),
+    ((Beamsplitter.from_r2(0.5, "a", "vac", "c", "c"),
+      Detector("c", "dc")), "ports must differ"),
+    ((Mirror("a", "b"), Beamsplitter.from_r2(0.5, "a", "vac", "c", "d"),
+      Detector("b", "db"), Detector("c", "dc"), Detector("d", "dd")),
+     "consumed"),
+    ((Block("x", "loss"), Detector("a", "da")), "virgin"),
+    ((Beamsplitter.from_r2(0.5, "a", "vac", "c", "d"),
+      Attenuator("c", 0.5, "d"), Detector("c", "dc"), Detector("d", "dd")),
+     "already-used"),
+    ((Mirror("x", "b"), Detector("a", "da"), Detector("b", "db")), "virgin"),
+], ids=["splitter-equal-ins", "splitter-equal-outs", "splitter-reuses-consumed",
+        "shutter-on-virgin", "loss-port-into-used", "mirror-from-virgin"])
+def test_validate_rejects_miswired_elements(elements, match):
+    c = Circuit(elements, (("a", 1.0 + 0j),), frozenset({"loss"}))
+    with pytest.raises(TopologyError, match=match):
         validate_circuit(c)
 
 

@@ -3,7 +3,6 @@
 import json
 import subprocess
 import sys
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,12 +10,7 @@ import pytest
 from cfcomm.cli import main
 from cfcomm.protocol import Bitmap, read_pbm, write_pbm
 
-from conftest import child_env
-
-
-def reference_dict() -> dict:
-    text = (resources.files("cfcomm") / "data" / "reference-bench.json").read_text()
-    return json.loads(text)
+from conftest import child_env, reference_dict
 
 
 @pytest.fixture()
@@ -177,6 +171,16 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys):
     bad.write_text("{\"eoms\": {}}")
     code, _, err = run(capsys, "--config", str(bad), "source-filter")
     assert code == 2 and "error:" in err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys, image_path):
+    doc = reference_dict()
+    doc["photon_rate_hz"] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))  # json spells it NaN
+    code, _, err = run(capsys, "--config", str(bad), "send-image", "--image",
+                       str(image_path), "--out", str(tmp_path / "o.pbm"))
+    assert code == 2 and "photon_rate_hz" in err
 
 
 # -- determinism across interpreter hashing -----------------------------------

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cfcomm import protocol
-from cfcomm.config import ImperfectionModel, reference_device
+from cfcomm import circuit, protocol
+from cfcomm.config import BS_NAMES, ImperfectionModel, reference_device
 from cfcomm.errors import ConfigError, FitInfeasibleError
 from cfcomm.protocol import (Bitmap, fit_model, mixture_probs,
                              model_error_rates, read_pbm, sector_probs,
@@ -43,6 +43,34 @@ def test_sector_probabilities_match_closed_form(bench, preset, table):
     for sector, want in table.items():
         assert got[sector][0] == pytest.approx(want[0], abs=1e-12), sector
         assert got[sector][1] == pytest.approx(want[1], abs=1e-12), sector
+
+
+def test_sector_probs_match_grid_average(bench, monkeypatch):
+    """Six exact probes per preset reproduce the brute-force grid average."""
+    real, calls = protocol.propagate, []
+    monkeypatch.setattr(protocol, "propagate",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+
+    def probs(cfg, preset, delta, theta):
+        extra = {circuit.SHUTTER_1: delta, circuit.SHUTTER_2: delta,
+                 circuit.REFERENCE: theta}
+        p = circuit.detection_probs(circuit.build_circuit(
+            cfg, preset, include_eoms=False, extra_phases=extra))
+        return p["det0"], p["det1"]
+
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        r2 = tuple((name, float(rng.uniform(0.35, 0.65))) for name in BS_NAMES)
+        cfg = dataclasses.replace(bench, beamsplitter_r2=r2, attenuator_t="auto")
+        for preset in circuit.PRESETS:
+            calls.clear()
+            got = sector_probs(cfg, preset)
+            assert len(calls) == 6
+            want = oracles.grid_sectors(
+                lambda d, t: probs(cfg, preset, d, t))
+            for sector, (p0, p1) in want.items():
+                assert got[sector][0] == pytest.approx(p0, abs=1e-14), sector
+                assert got[sector][1] == pytest.approx(p1, abs=1e-14), sector
 
 
 @pytest.mark.parametrize("preset", ["bit0", "bit1"])

@@ -51,3 +51,10 @@ def test_philox_known_answers(ctr, key, want):
     arrays = [np.full(3, c, dtype=np.uint64) for c in ctr]
     for word, w in zip(philox4x64_10(arrays, key), want):
         assert word.dtype == np.uint64 and (word == w).all()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_bit_uniforms_take_numpy_integers(count):
+    """numpy integer seeds and starts give the same streams as Python ints."""
+    got = bit_uniforms(np.int64(3), np.uint64(7), count, 2)
+    assert np.array_equal(got, bit_uniforms(3, 7, count, 2))
