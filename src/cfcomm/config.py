@@ -15,6 +15,7 @@ from importlib import resources
 
 from .errors import ConfigError
 from .optics import ALPHA_MAX
+from .rand import check_seed
 from .spectral import Etalon
 
 #: the three physical splitters: one closing the outer loop, two in the inner loop,
@@ -136,8 +137,7 @@ class DeviceConfig:
         if not trials <= MAX_TRIALS_PER_BIN:
             raise ConfigError(
                 f"a detection bin may hold at most 2**62 trials, got {trials:g}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        check_seed(self.seed)
 
     def r2(self, name: str) -> float:
         """Intensity reflectance of the named splitter."""
@@ -161,7 +161,13 @@ class DeviceConfig:
 
 
 def _real(value, name: str) -> float:
-    """A finite float from JSON (which also spells NaN and +-Infinity)."""
+    """A finite float from a JSON number (JSON also spells NaN and +-Infinity).
+
+    ``true``, ``false`` and strings are not numbers, though ``float`` takes
+    them.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
@@ -198,10 +204,8 @@ def config_from_dict(raw: dict) -> DeviceConfig:
         att = raw.get("attenuator_t", "auto")
         if not isinstance(att, str):
             att = _real(att, "attenuator_t")
-        seed = raw.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        imp = ImperfectionModel(**raw.get("imperfections", {}))
+        imp = ImperfectionModel(**{
+            k: _real(v, k) for k, v in raw.get("imperfections", {}).items()})
         return DeviceConfig(
             eoms=eoms,
             beamsplitter_r2=bs,
@@ -215,7 +219,7 @@ def config_from_dict(raw: dict) -> DeviceConfig:
             imperfections=imp,
             photon_rate_hz=_real(raw.get("photon_rate_hz", 1000.0), "photon_rate_hz"),
             bin_duration_s=_real(raw.get("bin_duration_s", 1.0), "bin_duration_s"),
-            seed=seed,
+            seed=raw.get("seed", 0),
         )
     except ConfigError:
         raise

@@ -19,6 +19,10 @@ collect that quota are all drawn through the inverse CDFs of their exact
 distributions (geometric, binomial, negative binomial).  One bit consumes
 two uniforms from its own counter-based stream, so results are identical
 bit for bit whether bits are sampled singly or in vectorized blocks.
+
+Only majority sampling (``scipy.stats`` ``ppf``) and :func:`fit_model`
+(``scipy.optimize.brentq``) load scipy, on first use; importing the module
+and first-click transport need numpy alone.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
-from scipy.optimize import brentq
 
 from .circuit import (DET0, DET1, REFERENCE, SHUTTER_1, SHUTTER_2, build_circuit,
                       propagate)
@@ -160,6 +162,8 @@ def fit_model(cfg: DeviceConfig, err0: float, err1: float) -> ImperfectionModel:
     Rates outside what any visibility pair can produce raise
     :class:`FitInfeasibleError`; nothing is clamped.
     """
+    from scipy.optimize import brentq  # deferred: keeps scipy off start-up
+
     if not 0.0 <= err0 < 1.0 or not 0.0 <= err1 < 1.0:
         raise FitInfeasibleError(
             f"error rates must be in [0, 1), got err0={err0}, err1={err1}")
@@ -250,6 +254,8 @@ def _decode_block(bits: np.ndarray, u1: np.ndarray, u2: np.ndarray,
         frac0 = np.divide(c0, pc, out=np.zeros_like(pc), where=clickable)
         received = np.where(u2 < frac0, 0, 1)
     else:
+        from scipy import stats  # deferred: keeps scipy off start-up
+
         p_wrong = np.divide(np.where(bits == 1, c0, c1), pc,
                             out=np.zeros_like(pc), where=clickable)
         wrong = np.maximum(stats.binom.ppf(u1, quota, p_wrong), 0.0)

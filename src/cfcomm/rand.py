@@ -11,14 +11,25 @@ Two stream families, both keyed on a single user seed:
   seed, so its uniforms are a pure function of ``(seed, i)``: bit ``i`` draws
   the same variates whether bits are sampled one by one or in blocks, and a
   block of any size costs one vectorised pass of :func:`philox4x64_10`.
+
+Both families accept the same seeds, the integers in ``[0, 2**64)``; any
+other seed raises :class:`~cfcomm.errors.ConfigError` (:func:`check_seed`).
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-#: domain-separation salt so bit streams never collide with other uses of a seed
-BIT_STREAM_SALT = 0x9E3779B97F4A7C15
+from .errors import ConfigError
+
+#: domain-separation salt so bit streams never collide with other uses of a
+#: seed.  It is the golden-ratio word 0x9E3779B97F4A7C15 rounded through
+#: float64, which is what numpy holds for the list key ``[seed,
+#: 0x9E3779B97F4A7C15]`` when the seed fits an int64; keying with the
+#: rounded word keeps every stream for a seed below 2**53 as it was.
+BIT_STREAM_SALT = 0x9E3779B97F4A8000
 
 _MASK64 = 2**64 - 1
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -28,10 +39,23 @@ _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 
 
+def check_seed(seed) -> int:
+    """The seed as an int, if it is an integer in ``[0, 2**64)``."""
+    if isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value <= _MASK64:  # one Philox key word
+        raise ConfigError(f"seed must be in [0, 2**64), got {value}")
+    return value
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for one labelled point in the program."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(check_seed(seed), spawn_key=path)))
 
 
 def _mulhilo(a: int, b):
@@ -70,16 +94,15 @@ def philox4x64_10(ctr, key):
 def bit_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
     """Uniforms for a contiguous block of channel uses, shape (count, draws).
 
-    The key is the one numpy's ``Philox(key=[seed & (2**64 - 1),
-    BIT_STREAM_SALT])`` holds.  Row ``i`` reads the Philox4x64-10 blocks at
-    counters ``(1, 0, start + i, 0)``, ``(2, 0, start + i, 0)``, ... word by
-    word, and maps each word ``w`` to ``(w >> 11) * 2**-53``.  That is bit for
-    bit ``Generator(Philox(key=...).jumped(start + i)).random(draws)``, so
-    block sampling and one-at-a-time sampling agree.
+    The key is ``(seed, BIT_STREAM_SALT)``.  Row ``i`` reads the
+    Philox4x64-10 blocks at counters ``(1, 0, start + i, 0)``,
+    ``(2, 0, start + i, 0)``, ... word by word, and maps each word ``w`` to
+    ``(w >> 11) * 2**-53``.  That is bit for bit
+    ``Generator(Philox(key=np.array(key, dtype=np.uint64)).jumped(start +
+    i)).random(draws)``, so block sampling and one-at-a-time sampling agree.
     """
-    seed, start = int(seed), int(start)  # numpy integers cannot take the masks
-    key = [int(k) for k in np.random.Philox(
-        key=[seed & _MASK64, BIT_STREAM_SALT]).state["state"]["key"]]
+    # numpy integers become ints, which take the 64-bit masks below
+    key, start = (check_seed(seed), BIT_STREAM_SALT), int(start)
     # counter words 2 and 3 hold the 128-bit channel-use index start + i;
     # a single use stays in ints, which beats numpy's per-call overhead
     if count == 1:

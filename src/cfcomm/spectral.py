@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, TopologyError
 from .optics import PhotonState
-from .rand import substream
+from .rand import check_seed, substream
 
 #: peaks must clear this many local-baseline standard errors to count as present
 PRESENCE_SIGMA = 5.0
@@ -185,6 +185,7 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
 
     if photons <= 0:
         raise ConfigError("photon number must be positive")
+    check_seed(seed)  # noise-free scans too: one seed range everywhere
     if step_ghz > scan.linewidth_ghz / 2.0:
         raise ConfigError(
             f"scan step {step_ghz} GHz cannot resolve the {scan.linewidth_ghz} GHz "

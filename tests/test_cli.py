@@ -183,6 +183,26 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, image_path):
     assert code == 2 and "photon_rate_hz" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_0_to_2_64_exits_2(tmp_path, capsys, image_path, seed):
+    scan = ("spectrum", "--preset", "bit1", "--detector", "det1",
+            "--out", str(tmp_path / "scan.csv"), "--seed", seed)
+    for argv in (scan, scan + ("--no-noise",),
+                 ("send-image", "--image", str(image_path),
+                  "--out", str(tmp_path / "o.pbm"), "--seed", seed)):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "" and "seed must be in [0, 2**64)" in err
+    assert not (tmp_path / "scan.csv").exists()
+    assert not (tmp_path / "o.pbm").exists()
+
+
+def test_largest_seed_is_reported_as_given(tmp_path, capsys, image_path):
+    code, stdout, _ = run(capsys, "send-image", "--image", str(image_path),
+                          "--out", str(tmp_path / "o.pbm"),
+                          "--seed", str(2**64 - 1))
+    assert code == 0 and json.loads(stdout)["seed"] == 2**64 - 1
+
+
 # -- determinism across interpreter hashing -----------------------------------
 
 def run_cli(tmp_path, hashseed, *argv):

@@ -28,8 +28,13 @@ MALFORMED = (
      for bad in (math.nan, math.inf, -math.inf)]
     + [(("beamsplitter_r2",), {"outer": math.nan, "inner_near": 0.5,
                                "inner_far": 0.5})]
-    + [(("seed",), bad) for bad in (1.7, 1.0, True, False, "3", None)]
+    + [(("seed",), bad) for bad in (1.7, 1.0, True, False, "3", None,
+                                    -1, 2**64, 2**64 + 7)]
     + [(("bin_duration_s",), 1e30), (("photon_rate_hz",), 1e19)]
+    # JSON booleans and strings are not numbers, though float() takes them
+    + [(path, bad) for path in FLOAT_FIELDS for bad in (True, False)]
+    + [(path, "0.5") for path in FLOAT_FIELDS if path[0] == "imperfections"]
+    + [(("imperfections", "contrast"), 0.5), (("imperfections",), [0.5])]
 )
 
 
@@ -51,8 +56,9 @@ def test_malformed_config_is_rejected(path, value):
 
 
 def test_integer_seed_and_largest_bin_are_accepted():
-    doc = with_value(reference_dict(), ("seed",), 12345)
-    assert config_from_dict(doc).seed == 12345
+    for seed in (12345, 2**64 - 1):
+        doc = with_value(reference_dict(), ("seed",), seed)
+        assert config_from_dict(doc).seed == seed
     doc = with_value(reference_dict(), ("bin_duration_s",), 2.0 ** 62 / 1000.0)
     assert config_from_dict(doc).trials_per_bin == 2 ** 62
 
@@ -62,3 +68,16 @@ def test_trial_count_bound_holds_without_json(rate):
     """Configs built in code meet the same bound on trials per bin."""
     with pytest.raises(ConfigError, match="trial"):
         dataclasses.replace(reference_device(), photon_rate_hz=rate)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_seed_range_holds_without_json(seed):
+    """Configs built in code take the seeds the random streams take."""
+    with pytest.raises(ConfigError, match="seed"):
+        dataclasses.replace(reference_device(), seed=seed)
+
+
+def test_imperfections_are_read_as_floats():
+    doc = with_value(reference_dict(), ("imperfections", "visibility_inner"), 1)
+    value = config_from_dict(doc).imperfections.visibility_inner
+    assert type(value) is float and value == 1.0

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from cfcomm.rand import BIT_STREAM_SALT, bit_uniforms, philox4x64_10
+from cfcomm.errors import ConfigError
+from cfcomm.rand import BIT_STREAM_SALT, bit_uniforms, philox4x64_10, substream
 
-SEEDS = [0, 1, 2**53 + 1, 2**60, 2**60 + 1, 2**64 + 7]
+SEEDS = [0, 1, 2**53 + 1, 2**60, 2**60 + 1, 2**63 + 5, 2**64 - 1, 2**64 + 7]
+BAD_SEEDS = [-1, 2**64, 1.0, True, "3", None]
 
 
 def numpy_stream(seed: int, index: int, draws: int) -> np.ndarray:
     """The per-bit stream as numpy's own Philox draws it."""
-    key = [seed & (2**64 - 1), BIT_STREAM_SALT]
+    key = np.array([seed, BIT_STREAM_SALT], dtype=np.uint64)
     return np.random.Generator(
         np.random.Philox(key=key).jumped(index)).random(draws)
 
@@ -19,6 +21,14 @@ def numpy_stream(seed: int, index: int, draws: int) -> np.ndarray:
 @pytest.mark.parametrize("start", [0, 12345])
 @pytest.mark.parametrize("draws", [1, 2, 3, 4, 5])
 def test_bit_uniforms_equal_numpy_per_bit_streams(seed, start, draws):
+    """Equal to numpy wherever its uint64 key holds the seed; refused past."""
+    if seed >= 2**64:
+        with pytest.raises(OverflowError):
+            numpy_stream(seed, start, draws)
+        for count in (1, 6):
+            with pytest.raises(ConfigError, match="seed"):
+                bit_uniforms(seed, start, count, draws)
+        return
     for count in (1, 6):
         got = bit_uniforms(seed, start, count, draws)
         want = np.array([numpy_stream(seed, start + i, draws)
@@ -58,3 +68,32 @@ def test_bit_uniforms_take_numpy_integers(count):
     """numpy integer seeds and starts give the same streams as Python ints."""
     got = bit_uniforms(np.int64(3), np.uint64(7), count, 2)
     assert np.array_equal(got, bit_uniforms(3, 7, count, 2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1, 2**53 - 1])
+def test_streams_below_2_53_keep_the_list_keyed_philox(seed):
+    """Below 2**53 numpy's list key ``[seed, 0x9E3779B97F4A7C15]`` holds
+    exactly (seed, BIT_STREAM_SALT), so those streams are unchanged."""
+    list_keyed = np.random.Philox(key=[seed, 0x9E3779B97F4A7C15])
+    assert [int(k) for k in list_keyed.state["state"]["key"]] == [
+        seed, BIT_STREAM_SALT]
+    want = np.random.Generator(list_keyed.jumped(3)).random(2)
+    assert np.array_equal(bit_uniforms(seed, 3, 1, 2)[0], want)
+
+
+@pytest.mark.parametrize("seed", [2**53, 2**60, 2**63 + 5])
+def test_neighbouring_large_seeds_give_distinct_streams(seed):
+    """Seeds past 2**53 are keyed exactly, not rounded onto a neighbour."""
+    assert not np.array_equal(bit_uniforms(seed, 0, 4, 2),
+                              bit_uniforms(seed + 1, 0, 4, 2))
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_seeds_outside_0_to_2_64_are_rejected(seed):
+    """Both stream families take the integers in [0, 2**64) and nothing else."""
+    with pytest.raises(ConfigError, match="seed"):
+        bit_uniforms(seed, 0, 1, 2)
+    with pytest.raises(ConfigError, match="seed"):
+        bit_uniforms(seed, 0, 3, 2)
+    with pytest.raises(ConfigError, match="seed"):
+        substream(seed, 0, 1)
