@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .config import BS_NAMES, EOM_SITES, DeviceConfig, EomSpec
 from .errors import ConfigError, TopologyError, UndefinedPostselectionError
@@ -157,12 +157,12 @@ def propagate(circuit: Circuit, max_order: int = 1) -> PhotonState:
     return state
 
 
-def propagate_cuts(circuit: Circuit, max_order: int = 1) -> list[PhotonState]:
+def propagate_cuts(circuit: Circuit) -> list[PhotonState]:
     """Forward state at every cut; ``cuts[k]`` is the state after k elements."""
     state = PhotonState.from_sources(circuit.modes, circuit.sources)
     cuts = [state]
     for e in circuit.elements:
-        state = apply_element(state, e, max_order=max_order)
+        state = apply_element(state, e)
         cuts.append(state)
     return cuts
 
@@ -211,9 +211,8 @@ class TwoStateVector:
     detector: str
 
 
-def two_state_vector(circuit: Circuit, detector: str,
-                     max_order: int = 1) -> TwoStateVector:
-    fwd = propagate_cuts(circuit, max_order=max_order)
+def two_state_vector(circuit: Circuit, detector: str) -> TwoStateVector:
+    fwd = propagate_cuts(circuit)
     bwd = backward_cuts(circuit, detector)
     mode = circuit.detectors[detector]
     ps = fwd[-1].amp(mode, CARRIER)
@@ -249,12 +248,11 @@ class TraceReport:
     detector: str
 
 
-def weak_trace(circuit: Circuit, detector: str,
-               arms: Iterable[str] = REPORT_ARMS) -> TraceReport:
+def weak_trace(circuit: Circuit, detector: str) -> TraceReport:
     tsv = two_state_vector(circuit, detector)
     aps = abs(tsv.postselection)
     values: dict[str, float] = {}
-    for arm in arms:
+    for arm in REPORT_ARMS:
         k = _consuming_index(circuit, arm)
         f = tsv.forward[k].amp(arm, CARRIER)
         b = tsv.backward[k].amp(arm, CARRIER)

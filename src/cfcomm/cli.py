@@ -20,7 +20,7 @@ from . import circuit as ci
 from . import protocol as pr
 from . import spectral as sp
 from .config import DeviceConfig, load_config, reference_device
-from .errors import CfcommError, UndefinedPostselectionError
+from .errors import CfcommError, ConfigError, UndefinedPostselectionError
 
 ENV_CONFIG = "CFCOMM_CONFIG"
 
@@ -83,9 +83,12 @@ def cmd_send_image(args) -> int:
     result = pr.transmit_image(cfg, image, policy=args.policy, seed=args.seed)
     pr.write_pbm(args.out, result.image)
     if args.stats:
-        with open(args.stats, "w", newline="\n") as fh:
-            fh.write(json.dumps(result.stats(), sort_keys=True))
-            fh.write("\n")
+        try:
+            with open(args.stats, "w", newline="\n") as fh:
+                fh.write(json.dumps(result.stats(), sort_keys=True))
+                fh.write("\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write stats {args.stats}: {exc}") from None
     _emit(result.stats())
     return 0
 

@@ -360,14 +360,17 @@ def read_pbm(path) -> Bitmap:
 
 def write_pbm(path, image: Bitmap) -> None:
     """Write a plain P1 bitmap, byte-stable: fixed header, 68-column rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"P1\n{image.width} {image.height}\n")
-        row = image.bits.reshape(image.height, image.width)
-        for r in range(image.height):
-            line = "".join("1" if b else "0" for b in row[r])
-            for start in range(0, len(line), 68):
-                fh.write(line[start:start + 68])
-                fh.write("\n")
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(f"P1\n{image.width} {image.height}\n")
+            row = image.bits.reshape(image.height, image.width)
+            for r in range(image.height):
+                line = "".join("1" if b else "0" for b in row[r])
+                for start in range(0, len(line), 68):
+                    fh.write(line[start:start + 68])
+                    fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write bitmap {path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

@@ -100,9 +100,13 @@ def bit_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
     ``(w >> 11) * 2**-53``.  That is bit for bit
     ``Generator(Philox(key=np.array(key, dtype=np.uint64)).jumped(start +
     i)).random(draws)``, so block sampling and one-at-a-time sampling agree.
+    Indices outside ``[0, 2**128)`` raise :class:`ConfigError`.
     """
     # numpy integers become ints, which take the 64-bit masks below
     key, start = (check_seed(seed), BIT_STREAM_SALT), int(start)
+    if not 0 <= start <= start + count <= 2**128:  # two counter words
+        raise ConfigError(f"channel uses must be in [0, 2**128), got "
+                          f"{count} from index {start}")
     # counter words 2 and 3 hold the 128-bit channel-use index start + i;
     # a single use stays in ints, which beats numpy's per-call overhead
     if count == 1:

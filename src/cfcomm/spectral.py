@@ -25,6 +25,8 @@ from .rand import check_seed, substream
 PRESENCE_SIGMA = 5.0
 #: absolute floor relative to the carrier, for noise-free spectra
 PRESENCE_REL_FLOOR = 1e-9
+#: largest mean numpy's Poisson sampler accepts (its int64 bound)
+POISSON_LAM_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,10 @@ class Etalon:
     def finesse(self) -> float:
         return self.fsr_ghz / self.linewidth_ghz
 
-    def transmission(self, detuning_ghz: float) -> float:
-        """Airy transmission T(d) = 1 / (1 + (2F/pi)^2 sin^2(pi d / FSR))."""
-        s = math.sin(math.pi * (detuning_ghz - self.center_offset_ghz) / self.fsr_ghz)
+    def transmission(self, detuning_ghz: float | np.ndarray) -> float | np.ndarray:
+        """Airy transmission T(d) = 1 / (1 + (2F/pi)^2 sin^2(pi d / FSR)),
+        of a float or elementwise of an array."""
+        s = np.sin(math.pi * (detuning_ghz - self.center_offset_ghz) / self.fsr_ghz)
         return 1.0 / (1.0 + (2.0 * self.finesse / math.pi) ** 2 * s * s)
 
 
@@ -81,7 +84,7 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
     if raw_linewidth_ghz <= 0.0:
         raise ConfigError("raw source linewidth must be positive")
 
-    def profile(d: float) -> float:
+    def profile(d):
         p = 1.0 / (1.0 + (2.0 * d / raw_linewidth_ghz) ** 2)
         for e in etalons:
             p *= e.transmission(d)
@@ -106,7 +109,7 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
     if exclusion_ghz <= 2.0 * fwhm:
         raise ConfigError("side-peak exclusion zone must clear the central line")
     grid = np.arange(exclusion_ghz, window + 0.002, 0.002)
-    vals = np.array([profile(d) for d in grid])
+    vals = profile(grid)
     k = int(np.argmax(vals))
     worst = float(vals[k]) / peak
     return CascadeReport(
@@ -142,10 +145,13 @@ class Spectrum:
             raise ConfigError("spectrum intensities must be non-negative")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("detuning_ghz,intensity,stderr\n")
-            for d, y, s in zip(self.detuning_ghz, self.intensity, self.stderr):
-                fh.write(f"{float(d)!r},{float(y)!r},{float(s)!r}\n")
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write("detuning_ghz,intensity,stderr\n")
+                for d, y, s in zip(self.detuning_ghz, self.intensity, self.stderr):
+                    fh.write(f"{float(d)!r},{float(y)!r},{float(s)!r}\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write spectrum {path}: {exc}") from None
 
     def nearest_index(self, detuning: float) -> int:
         i = int(np.argmin(np.abs(self.detuning_ghz - detuning)))
@@ -172,24 +178,27 @@ def detector_components(state: PhotonState, detector_mode: str,
 
 def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
                   half_range_ghz: float = 4.0, step_ghz: float = 0.05,
-                  photons: float = 1e6, seed: int = 0, noise: bool = True,
-                  replicas: int = 100, max_order: int = 1) -> Spectrum:
+                  photons: float = 1e6, seed: int = 0,
+                  noise: bool = True) -> Spectrum:
     """Sweep the scanning etalon across the light arriving at a detector.
 
     Expected counts at offset ``d`` are ``N x sum_k q_k T(d - d_k)`` over the
     incoherent components ``(d_k, q_k)``.  With ``noise`` on, each point is
     one Poisson draw and its error bar is the standard deviation of
-    ``replicas`` further draws, all from per-point substreams of ``seed``.
+    100 further draws, all from per-point substreams of ``seed``.
     """
     from .circuit import propagate  # deferred: keeps module imports acyclic
 
-    if photons <= 0:
-        raise ConfigError("photon number must be positive")
+    if not 0.0 < photons < math.inf:
+        raise ConfigError(f"photon number must be positive and finite, got {photons}")
     check_seed(seed)  # noise-free scans too: one seed range everywhere
-    if step_ghz > scan.linewidth_ghz / 2.0:
+    if not 0.0 < step_ghz <= scan.linewidth_ghz / 2.0:
         raise ConfigError(
             f"scan step {step_ghz} GHz cannot resolve the {scan.linewidth_ghz} GHz "
-            "analysis line (need step <= linewidth / 2)")
+            "analysis line (need 0 < step <= linewidth / 2)")
+    if not step_ghz <= half_range_ghz < math.inf:
+        raise ConfigError(f"scan half-range must be finite and at least the step "
+                          f"{step_ghz} GHz, got {half_range_ghz}")
 
     freqs = {e.label: e.freq_ghz for e in eoms}
     if freqs and half_range_ghz < max(freqs.values()):
@@ -198,7 +207,7 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
             f"modulation frequency {max(freqs.values())} GHz; peaks will fall "
             "outside the window", stacklevel=2)
 
-    terminal = propagate(circuit, max_order=max_order)
+    terminal = propagate(circuit)
     det_mode = circuit.detectors.get(detector)
     if det_mode is None:
         raise TopologyError(f"unknown detector {detector!r}")
@@ -208,16 +217,20 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
     grid = np.arange(-n_half, n_half + 1, dtype=float) * step_ghz
     expected = np.zeros_like(grid)
     for dk, qk in comps:
-        expected += qk * np.array([scan.transmission(d - dk) for d in grid])
+        expected += qk * scan.transmission(grid - dk)
     expected *= photons
 
     if noise:
+        if expected.max() > POISSON_LAM_MAX:
+            raise ConfigError(
+                f"expected count {expected.max():.3g} exceeds the Poisson "
+                f"sampler's limit {POISSON_LAM_MAX:.3g}; lower the photon number")
         intensity = np.empty_like(expected)
         stderr = np.empty_like(expected)
         for j, mu in enumerate(expected):
             rng = substream(seed, 0, j)
             intensity[j] = rng.poisson(mu)
-            reps = substream(seed, 1, j).poisson(mu, size=replicas)
+            reps = substream(seed, 1, j).poisson(mu, size=100)
             stderr[j] = float(np.std(reps, ddof=1))
     else:
         intensity = expected.copy()
@@ -281,20 +294,17 @@ def _unmix_heights(s: Spectrum, positions: list[float]) -> np.ndarray:
     """
     idx = [s.nearest_index(p) for p in positions]
     pts = s.detuning_ghz[idx]
-    a = np.empty((len(positions), len(positions)))
-    for j, dj in enumerate(pts):
-        for k, pk in enumerate(positions):
-            a[j, k] = s.scan_etalon.transmission(float(dj) - pk)
+    a = s.scan_etalon.transmission(pts[:, None] - np.array(positions))
     y = s.intensity[idx]
     return np.linalg.solve(a, y)
 
 
-def extract_peaks(s: Spectrum, eoms, calibration: "PeakTable | None" = None,
-                  presence_sigma: float = PRESENCE_SIGMA) -> PeakTable:
+def extract_peaks(s: Spectrum, eoms,
+                  calibration: "PeakTable | None" = None) -> PeakTable:
     """Heights, presence decisions and calibration-unit ratios per label.
 
     A peak is present when its baseline-subtracted height (averaged over
-    the +- pair) clears ``presence_sigma`` local standard errors, with an
+    the +- pair) clears ``PRESENCE_SIGMA`` local standard errors, with an
     absolute floor of ``1e-9 x carrier`` for noise-free spectra.  Ratios
     require a calibration table (pass the table extracted from the
     all-bright spectrum); without one they are left unset.
@@ -328,7 +338,7 @@ def extract_peaks(s: Spectrum, eoms, calibration: "PeakTable | None" = None,
         iu = s.nearest_index(+freq[lab])
         idn = s.nearest_index(-freq[lab])
         local_err = 0.5 * math.hypot(float(s.stderr[iu]), float(s.stderr[idn]))
-        floor = max(presence_sigma * local_err, PRESENCE_REL_FLOOR * abs(carrier))
+        floor = max(PRESENCE_SIGMA * local_err, PRESENCE_REL_FLOOR * abs(carrier))
         ratio = None
         if calibration is not None:
             unit = alpha[lab] ** 2 * carrier

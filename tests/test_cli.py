@@ -62,6 +62,37 @@ def test_spectrum_rejects_bad_step(tmp_path, capsys):
     assert "step" in err
 
 
+SCAN = ("spectrum", "--preset", "bit1", "--detector", "det1",
+        "--out", "{tmp}/scan.csv")
+BAD_RUNS = {
+    "step 0": (*SCAN, "--step", "0"),
+    "step -0.05": (*SCAN, "--step", "-0.05"),
+    "step nan": (*SCAN, "--step", "nan"),
+    "half-range -1": (*SCAN, "--half-range", "-1"),
+    "half-range 0": (*SCAN, "--half-range", "0"),
+    "half-range 0.01": (*SCAN, "--half-range", "0.01"),
+    "half-range nan": (*SCAN, "--half-range", "nan"),
+    "half-range inf": (*SCAN, "--half-range", "inf"),
+    "photons nan": (*SCAN, "--photons", "nan"),
+    "photons inf": (*SCAN, "--photons", "inf"),
+    "photons 1e300": (*SCAN, "--photons", "1e300"),
+    "spectrum out": (*SCAN[:-1], "{tmp}/none/scan.csv"),
+    "send-image out": ("send-image", "--image", "{image}",
+                       "--out", "{tmp}/none/o.pbm"),
+    "send-image stats": ("send-image", "--image", "{image}", "--out",
+                         "{tmp}/o.pbm", "--stats", "{tmp}/none/stats.json"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_RUNS.values(), ids=BAD_RUNS)
+def test_malformed_flags_and_unwritable_paths_exit_2(tmp_path, capsys,
+                                                      image_path, argv):
+    """Run in process: an exception escaping ``main`` fails the test."""
+    argv = [a.format(tmp=tmp_path, image=image_path) for a in argv]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and err.startswith("error:")
+
+
 # -- trace -------------------------------------------------------------------
 
 def test_trace_reports_floored_values(capsys):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError
+from cfcomm.protocol import send_bit
 from cfcomm.rand import BIT_STREAM_SALT, bit_uniforms, philox4x64_10, substream
 
 SEEDS = [0, 1, 2**53 + 1, 2**60, 2**60 + 1, 2**63 + 5, 2**64 - 1, 2**64 + 7]
@@ -37,7 +39,8 @@ def test_bit_uniforms_equal_numpy_per_bit_streams(seed, start, draws):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("start, count", [(2**64 - 2, 4), (2**64 + 5, 1)])
+@pytest.mark.parametrize("start, count", [(2**64 - 2, 4), (2**64 + 5, 1),
+                                          (2**128 - 2, 2)])
 def test_bit_uniforms_past_a_64_bit_index(start, count):
     """Indices from 2**64 on use counter word 3, as numpy's jumps do."""
     got = bit_uniforms(3, start, count, 2)
@@ -97,3 +100,16 @@ def test_seeds_outside_0_to_2_64_are_rejected(seed):
         bit_uniforms(seed, 0, 3, 2)
     with pytest.raises(ConfigError, match="seed"):
         substream(seed, 0, 1)
+
+
+@pytest.mark.parametrize("start, count", [(-1, 1), (-1, 3), (2**128, 1),
+                                          (2**128 - 1, 2), (2**128 - 3, 6)])
+def test_channel_uses_outside_0_to_2_128_are_rejected(start, count):
+    """No index wraps onto another channel use's stream."""
+    with pytest.raises(ConfigError, match="channel uses"):
+        bit_uniforms(3, start, count, 2)
+
+
+def test_send_bit_rejects_a_negative_index():
+    with pytest.raises(ConfigError, match="channel uses"):
+        send_bit(reference_device(), 1, index=-1)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from cfcomm.circuit import build_circuit, sideband_strengths, weak_trace
+from cfcomm.circuit import build_circuit, propagate, sideband_strengths, weak_trace
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
-from cfcomm.spectral import (Etalon, PeakTable, Spectrum, extract_peaks,
-                             scan_spectrum, source_filter_cascade)
+from cfcomm.spectral import (Etalon, PeakTable, Spectrum, detector_components,
+                             extract_peaks, scan_spectrum, source_filter_cascade)
 
 import oracles
 
@@ -25,6 +25,12 @@ def noise_off(bench, preset, detector, **kw):
     c = build_circuit(bench, preset)
     return scan_spectrum(c, detector, bench.scan_etalon, bench.eoms,
                          noise=False, **kw)
+
+
+def cascade_grid(bench):
+    """The side-peak grid ``source_filter_cascade`` searches by default."""
+    window = max(e.fsr_ghz for e in bench.source_etalons) / 2.0
+    return np.arange(1.0, window + 0.002, 0.002)
 
 
 # -- etalons -----------------------------------------------------------------
@@ -50,6 +56,20 @@ def test_etalon_matches_airy_formula(d):
                                               abs=1e-14)
 
 
+def test_etalon_on_arrays_equals_the_scalar_formula_bit_for_bit(bench):
+    """Elementwise on the cascade grid and on a 2-D broadcast."""
+    grid = cascade_grid(bench)
+    pts, pos = grid[::997], np.array([0.0, 2.8, -2.8, 3.4, -3.4])
+    for e in (*bench.source_etalons, bench.scan_etalon):
+        fsr, lw = e.fsr_ghz, e.linewidth_ghz
+        assert np.array_equal(e.transmission(grid),
+                              [oracles.airy(fsr, lw, d) for d in grid])
+        got = e.transmission(pts[:, None] - pos)
+        assert got.shape == (pts.size, pos.size)
+        assert np.array_equal(got, [[oracles.airy(fsr, lw, p - q) for q in pos]
+                                    for p in pts])
+
+
 def test_etalon_validation():
     with pytest.raises(ConfigError):
         Etalon(0.1, 8.0)  # linewidth wider than the free spectral range
@@ -66,6 +86,20 @@ def test_source_cascade_narrows_to_sub_ghz(bench):
         10.0 * math.log10(1.0 / oracles.cascade_worst_sidepeak(
             [(105.0, 1.4), (22.0, 0.315)])), abs=1e-9)
     assert 1.0 <= rep.worst_sidepeak_ghz <= rep.window_ghz
+
+
+def test_source_cascade_equals_the_scalar_profile_exactly(bench):
+    """Same worst side peak, to the last bit, as the point-by-point oracle."""
+    rep = source_filter_cascade(bench.source_etalons,
+                                bench.source_raw_linewidth_ghz)
+    prof = oracles.cascade_profile(
+        [(e.fsr_ghz, e.linewidth_ghz) for e in bench.source_etalons],
+        bench.source_raw_linewidth_ghz)
+    grid = cascade_grid(bench)
+    vals = [prof(d) for d in grid]
+    k = int(np.argmax(vals))
+    assert rep.worst_sidepeak_ghz == float(grid[k])
+    assert rep.sidepeak_suppression_db == -10.0 * math.log10(vals[k] / prof(0.0))
 
 
 def test_source_cascade_rejects_exclusion_inside_the_line(bench):
@@ -92,6 +126,22 @@ def test_noise_off_peaks_sit_at_modulation_frequencies(bench):
         assert s.intensity[iu] == s.intensity[iu - 2:iu + 3].max()
         assert s.intensity[iu] > 1.5 * min(s.intensity[iu - 2], s.intensity[iu + 2])
         assert s.intensity[iu] == pytest.approx(s.intensity[idn], rel=1e-9)
+
+
+def test_noise_free_scan_sums_components_in_order_bit_for_bit(bench):
+    """Expected counts equal the scalar sum over components, in their order."""
+    c = build_circuit(bench, "bit1")
+    s = scan_spectrum(c, "det1", bench.scan_etalon, bench.eoms, noise=False)
+    comps = detector_components(propagate(c), c.detectors["det1"],
+                                {e.label: e.freq_ghz for e in bench.eoms})
+    fsr, lw = bench.scan_etalon.fsr_ghz, bench.scan_etalon.linewidth_ghz
+    want = []
+    for d in s.detuning_ghz:
+        acc = 0.0
+        for dk, qk in comps:
+            acc += qk * oracles.airy(fsr, lw, d - dk)
+        want.append(acc * 1e6)
+    assert len(comps) > 2 and np.array_equal(s.intensity, want)
 
 
 @pytest.mark.parametrize("preset,detector,present", [
