@@ -67,6 +67,10 @@ PRESETS = ("bit0", "bit1", "calibration")
 #: a postselection on less carrier probability than this is ill-defined
 POSTSELECTION_FLOOR = 1e-14
 
+#: entries per config-keyed result cache: a bench uses at most three, so a
+#: stream of fresh configs keeps the recent ones and a bounded memory
+RESULT_CACHE_SIZE = 64
+
 #: arms where a slow dephasing phase may be injected
 _DEPHASING_ARMS = (REFERENCE, SHUTTER_1, SHUTTER_2)
 
@@ -408,7 +412,7 @@ def _det0_amp(cfg: DeviceConfig, t: float, ph1: float, ph2: float,
     return propagate(c).amp(DET0, CARRIER)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RESULT_CACHE_SIZE)
 def solve_tuning(cfg: DeviceConfig) -> Tuning:
     """Operational settings: inner loop dark, shuttered bench dark at det0.
 
@@ -446,7 +450,7 @@ def solve_tuning(cfg: DeviceConfig) -> Tuning:
     return Tuning(t, ph1, ph2, ph3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RESULT_CACHE_SIZE)
 def calibration_tuning(cfg: DeviceConfig) -> Tuning:
     """All-bright settings: inner passes on the bright fringe, det0 maximal.
 

@@ -53,7 +53,6 @@ def cmd_spectrum(args) -> int:
         half_range_ghz=args.half_range, step_ghz=args.step,
         photons=args.photons, seed=seed, noise=not args.no_noise)
     spec.tuning = args.preset
-    spec.to_csv(args.out)
 
     cal_circuit = ci.build_circuit(cfg, "calibration")
     cal_spec = sp.scan_spectrum(
@@ -63,6 +62,7 @@ def cmd_spectrum(args) -> int:
     cal_spec.tuning = "calibration"
     calibration = sp.extract_peaks(cal_spec, cfg.eoms)
     table = sp.extract_peaks(spec, cfg.eoms, calibration=calibration)
+    spec.to_csv(args.out)  # last step that can fail: no CSV from a failed run
     _emit(table.to_jsonable())
     return 0
 
@@ -88,6 +88,7 @@ def cmd_send_image(args) -> int:
                 fh.write(json.dumps(result.stats(), sort_keys=True))
                 fh.write("\n")
         except OSError as exc:
+            os.remove(args.out)  # a failed run leaves no decoded image
             raise ConfigError(f"cannot write stats {args.stats}: {exc}") from None
     _emit(result.stats())
     return 0

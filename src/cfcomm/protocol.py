@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (DET0, DET1, REFERENCE, SHUTTER_1, SHUTTER_2, build_circuit,
-                      propagate)
+from .circuit import (DET0, DET1, REFERENCE, RESULT_CACHE_SIZE, SHUTTER_1,
+                      SHUTTER_2, build_circuit, propagate)
 from .config import DeviceConfig, ImperfectionModel
 from .errors import ConfigError, FitInfeasibleError
 from .optics import CARRIER
@@ -59,7 +59,7 @@ _REFERENCE_PROBES = (0.0, math.pi)
 # click probabilities
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RESULT_CACHE_SIZE)
 def sector_probs(cfg: DeviceConfig, preset: str) -> dict[str, tuple[float, float]]:
     """(det0, det1) probabilities in the four drift sectors of one preset.
 

@@ -3,8 +3,11 @@
 Two stream families, both keyed on a single user seed:
 
 * :func:`substream` — a generator derived from ``SeedSequence(seed,
-  spawn_key=path)``.  Robust and collision-free, used where a handful of
-  streams is enough (per-scan-point counting noise).
+  spawn_key=path)``.  Robust and collision-free.  :func:`point_poisson`
+  draws the per-scan-point counting noise from exactly these streams,
+  ``substream(seed, label, j)`` for point ``j``, without building one:
+  :func:`_point_keys` computes every point's Philox key in one array pass,
+  and a single reused Philox is re-keyed per point.
 * :func:`bit_uniforms` — counter-based Philox4x64-10 (Salmon et al.,
   "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Channel use ``i``
   owns the counters ``(b, 0, i, 0)``, ``b = 1, 2, ...``, under one key per
@@ -32,11 +35,16 @@ from .errors import ConfigError
 BIT_STREAM_SALT = 0x9E3779B97F4A8000
 
 _MASK64 = 2**64 - 1
+_MASK32 = 2**32 - 1
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 #: Philox4x64 round multipliers and Weyl key increments (Random123)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+#: numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, 4-word pool)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def check_seed(seed) -> int:
@@ -56,6 +64,84 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for one labelled point in the program."""
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(check_seed(seed), spawn_key=path)))
+
+
+def _hashmix(value, const: int, mult: int):
+    """One SeedSequence hash step; returns the word and the next constant.
+
+    ``value`` is an int or a ``uint32`` array; arrays wrap silently where
+    numpy integer scalars would warn on overflow.
+    """
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x: int, y):
+    """SeedSequence's pool mixing of word ``x`` with hashed word ``y``."""
+    value = ((_SS_MIX_L * x & _MASK32) - _SS_MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _point_keys(seed: int, label: int, n: int) -> np.ndarray:
+    """Philox keys of ``substream(seed, label, j)`` for ``j < n``, shape (n, 2).
+
+    Row ``j`` is ``SeedSequence(seed, spawn_key=(label, j)).generate_state(2,
+    np.uint64)``.  Its entropy words are the seed's 32-bit words zero-padded
+    to the pool size 4, then ``label``, then ``j``; only the last mixing step
+    sees ``j``, so everything before it runs once in ints and that step on
+    arrays.  ``label`` and every ``j`` must fit one entropy word: ``label <
+    2**32`` and ``n <= 2**32``.
+    """
+    seed = check_seed(seed)
+    words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    entropy = words + [0] * (4 - len(words))
+    const, pool = _SS_INIT_A, []
+    for word in entropy:
+        word, const = _hashmix(word, const, _SS_MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _SS_MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for word in (label, np.arange(n, dtype=np.uint32)):
+        for dst in range(4):
+            hashed, const = _hashmix(word, const, _SS_MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    const, state = _SS_INIT_B, []
+    for word in pool:
+        word, const = _hashmix(word, const, _SS_MULT_B)
+        state.append(word.astype(np.uint64))
+    # little-endian pairs of 32-bit words make the two 64-bit key words
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32],
+                    axis=1)
+
+
+def point_poisson(seed: int, label: int, lam, size: int | None = None) -> np.ndarray:
+    """``substream(seed, label, j).poisson(lam[j], size)`` for every ``j``.
+
+    One Philox and one Generator serve all points: before point ``j`` the
+    bit generator is reset to the state ``substream(seed, label, j)`` starts
+    from (key ``_point_keys(...)[j]``, counter and buffer empty), so every
+    count equals the per-point substream's bit for bit.  ``lam`` is 1-D; the
+    result has shape ``(len(lam),)`` or ``(len(lam), size)``.
+    """
+    lam = np.asarray(lam, dtype=float)
+    keys = _point_keys(seed, label, len(lam))
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    # a freshly seeded Philox: counter zero, four-word output buffer used up
+    words = {"counter": zeros, "key": zeros[:2]}
+    state = {"bit_generator": "Philox", "state": words, "buffer": zeros,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = np.empty(lam.shape + (() if size is None else (size,)), dtype=np.int64)
+    for j, (mu, key) in enumerate(zip(lam, keys)):
+        words["key"] = key
+        bitgen.state = state
+        out[j] = gen.poisson(mu, size)
+    return out
 
 
 def _mulhilo(a: int, b):

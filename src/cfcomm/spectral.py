@@ -5,8 +5,11 @@ detected light: the expected count rate at scan offset ``d`` is the sum of
 the incoherent spectral components at the detector, each weighted by the
 etalon's Airy transmission at its distance from ``d``.  Counting noise is
 Poisson per scan point, with error bars estimated from independent
-Monte-Carlo replicas, and every random draw comes from a per-point
-substream so results do not depend on evaluation order.
+Monte-Carlo replicas.  Point ``j`` draws its count from ``substream(seed,
+0, j)`` and its replicas from ``substream(seed, 1, j)``, so results do not
+depend on evaluation order; :func:`~cfcomm.rand.point_poisson` draws them
+all from one re-keyed Philox.  A scan grid holds at most
+``MAX_SCAN_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, TopologyError
 from .optics import PhotonState
-from .rand import check_seed, substream
+from .rand import check_seed, point_poisson
 
 #: peaks must clear this many local-baseline standard errors to count as present
 PRESENCE_SIGMA = 5.0
@@ -27,6 +30,9 @@ PRESENCE_SIGMA = 5.0
 PRESENCE_REL_FLOOR = 1e-9
 #: largest mean numpy's Poisson sampler accepts (its int64 bound)
 POISSON_LAM_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
+#: most points a scan grid may hold; keeps every point index one 32-bit
+#: SeedSequence word and the noisy path's (points, 100) replicas near 50 MB
+MAX_SCAN_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -185,7 +191,9 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
     Expected counts at offset ``d`` are ``N x sum_k q_k T(d - d_k)`` over the
     incoherent components ``(d_k, q_k)``.  With ``noise`` on, each point is
     one Poisson draw and its error bar is the standard deviation of
-    100 further draws, all from per-point substreams of ``seed``.
+    100 further draws, all from per-point substreams of ``seed``.  The grid
+    has ``2 x round(half_range / step) + 1`` points, at most
+    ``MAX_SCAN_POINTS``.
     """
     from .circuit import propagate  # deferred: keeps module imports acyclic
 
@@ -199,6 +207,12 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
     if not step_ghz <= half_range_ghz < math.inf:
         raise ConfigError(f"scan half-range must be finite and at least the step "
                           f"{step_ghz} GHz, got {half_range_ghz}")
+    # capped first: a huge half-range over a tiny step overflows to inf
+    n_half = int(round(min(half_range_ghz / step_ghz, MAX_SCAN_POINTS)))
+    if 2 * n_half + 1 > MAX_SCAN_POINTS:
+        raise ConfigError(
+            f"scan of +-{half_range_ghz} GHz in {step_ghz} GHz steps needs more "
+            f"than {MAX_SCAN_POINTS} points; raise the step or narrow the range")
 
     freqs = {e.label: e.freq_ghz for e in eoms}
     if freqs and half_range_ghz < max(freqs.values()):
@@ -213,7 +227,6 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
         raise TopologyError(f"unknown detector {detector!r}")
     comps = detector_components(terminal, det_mode, freqs)
 
-    n_half = int(round(half_range_ghz / step_ghz))
     grid = np.arange(-n_half, n_half + 1, dtype=float) * step_ghz
     expected = np.zeros_like(grid)
     for dk, qk in comps:
@@ -225,13 +238,8 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
             raise ConfigError(
                 f"expected count {expected.max():.3g} exceeds the Poisson "
                 f"sampler's limit {POISSON_LAM_MAX:.3g}; lower the photon number")
-        intensity = np.empty_like(expected)
-        stderr = np.empty_like(expected)
-        for j, mu in enumerate(expected):
-            rng = substream(seed, 0, j)
-            intensity[j] = rng.poisson(mu)
-            reps = substream(seed, 1, j).poisson(mu, size=100)
-            stderr[j] = float(np.std(reps, ddof=1))
+        intensity = point_poisson(seed, 0, expected).astype(float)
+        stderr = np.std(point_poisson(seed, 1, expected, 100), axis=1, ddof=1)
     else:
         intensity = expected.copy()
         stderr = np.zeros_like(expected)

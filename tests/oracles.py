@@ -185,6 +185,22 @@ def cascade_worst_sidepeak(etalons, raw_linewidth=1000.0,
     return float(max(prof(d) for d in grid))
 
 
+def noisy_counts(expected, seed: int):
+    """Poisson count and 100-replica error bar per scan point, drawn one
+    point at a time from ``SeedSequence(seed, spawn_key=(label, j))``
+    streams: label 0 for the count, label 1 for the replicas."""
+    def stream(label, j):
+        return np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(label, j))))
+
+    intensity = np.empty_like(expected)
+    stderr = np.empty_like(expected)
+    for j, mu in enumerate(expected):
+        intensity[j] = stream(0, j).poisson(mu)
+        stderr[j] = float(np.std(stream(1, j).poisson(mu, size=100), ddof=1))
+    return intensity, stderr
+
+
 # --------------------------------------------------------------------------
 # channel coding
 # --------------------------------------------------------------------------

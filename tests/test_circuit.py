@@ -48,6 +48,16 @@ def test_calibration_tuning_flips_to_bright(bench):
     assert cal.phase_inner_second == pytest.approx(op.phase_inner_second + math.pi)
 
 
+def test_result_caches_stay_bounded_over_fresh_configs(bench):
+    """A stream of distinct configs keeps at most RESULT_CACHE_SIZE each."""
+    from cfcomm.protocol import sector_probs
+    for seed in range(circuit.RESULT_CACHE_SIZE + 5):
+        cfg = dataclasses.replace(bench, seed=seed)
+        solve_tuning(cfg), calibration_tuning(cfg), sector_probs(cfg, "bit1")
+    for fn in (solve_tuning, calibration_tuning, sector_probs):
+        assert fn.cache_info().currsize <= circuit.RESULT_CACHE_SIZE
+
+
 def test_tuning_matches_closed_form_at_uneven_split(bench):
     cfg = with_r2(bench, outer=0.6, inner_near=0.6, inner_far=0.6)
     tun = solve_tuning(cfg)

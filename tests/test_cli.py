@@ -73,6 +73,8 @@ BAD_RUNS = {
     "half-range 0.01": (*SCAN, "--half-range", "0.01"),
     "half-range nan": (*SCAN, "--half-range", "nan"),
     "half-range inf": (*SCAN, "--half-range", "inf"),
+    "half-range 1e300": (*SCAN, "--half-range", "1e300"),
+    "step 1e-300": (*SCAN, "--step", "1e-300"),
     "photons nan": (*SCAN, "--photons", "nan"),
     "photons inf": (*SCAN, "--photons", "inf"),
     "photons 1e300": (*SCAN, "--photons", "1e300"),
@@ -91,6 +93,25 @@ def test_malformed_flags_and_unwritable_paths_exit_2(tmp_path, capsys,
     argv = [a.format(tmp=tmp_path, image=image_path) for a in argv]
     code, stdout, err = run(capsys, *argv)
     assert code == 2 and stdout == "" and err.startswith("error:")
+
+
+FAILING_RUNS = {
+    # the scan stops short of the 3.4 GHz sidebands peak extraction reads
+    "spectrum half-range 2": (*SCAN[:-1], "{tmp}/scan.csv", "--half-range", "2"),
+    "send-image stats": BAD_RUNS["send-image stats"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:scan range")
+@pytest.mark.parametrize("argv", FAILING_RUNS.values(), ids=FAILING_RUNS)
+def test_failed_runs_leave_no_output_file(tmp_path, capsys, image_path, argv):
+    """Outputs are written only once nothing else can fail."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    argv = [a.format(tmp=fresh, image=image_path) for a in argv]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and err.startswith("error:")
+    assert list(fresh.iterdir()) == []
 
 
 # -- trace -------------------------------------------------------------------
@@ -252,3 +273,12 @@ def test_outputs_are_byte_identical_across_hash_seeds(tmp_path):
     second = run_cli(tmp_path, 2, *args)
     assert first == second
     assert csv_first == (tmp_path / "scan.csv").read_bytes()
+
+
+def test_noisy_spectrum_writes_nothing_to_stderr(tmp_path):
+    """In a child, where any warning would reach stderr."""
+    argv = ("spectrum", "--preset", "bit1", "--detector", "det1",
+            "--seed", str(2**64 - 1), "--photons", "37", "--out", "scan.csv")
+    proc = subprocess.run([sys.executable, "-m", "cfcomm", *argv],
+                          capture_output=True, cwd=tmp_path, env=child_env())
+    assert proc.returncode == 0 and proc.stdout and proc.stderr == b""

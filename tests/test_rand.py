@@ -6,7 +6,9 @@ import pytest
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError
 from cfcomm.protocol import send_bit
-from cfcomm.rand import BIT_STREAM_SALT, bit_uniforms, philox4x64_10, substream
+from cfcomm.rand import (BIT_STREAM_SALT, _point_keys, bit_uniforms, philox4x64_10,
+                         point_poisson, substream)
+from cfcomm.spectral import MAX_SCAN_POINTS
 
 SEEDS = [0, 1, 2**53 + 1, 2**60, 2**60 + 1, 2**63 + 5, 2**64 - 1, 2**64 + 7]
 BAD_SEEDS = [-1, 2**64, 1.0, True, "3", None]
@@ -113,3 +115,36 @@ def test_channel_uses_outside_0_to_2_128_are_rejected(start, count):
 def test_send_bit_rejects_a_negative_index():
     with pytest.raises(ConfigError, match="channel uses"):
         send_bit(reference_device(), 1, index=-1)
+
+
+# -- per-point Poisson streams ----------------------------------------------
+
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**53 + 1, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+@pytest.mark.parametrize("label", [0, 1])
+def test_point_keys_equal_seed_sequence_keys(seed, label):
+    """Every index a scan grid can hold, one- and two-word seeds alike."""
+    keys = _point_keys(seed, label, MAX_SCAN_POINTS)
+    assert keys.shape == (MAX_SCAN_POINTS, 2) and keys.dtype == np.uint64
+    drawn = np.random.default_rng([seed, label]).integers(300, MAX_SCAN_POINTS, 40)
+    for j in [*range(300), *drawn.tolist(), MAX_SCAN_POINTS - 1]:
+        want = np.random.SeedSequence(seed, spawn_key=(label, j)).generate_state(
+            2, np.uint64)
+        assert np.array_equal(keys[j], want), j
+
+
+LAMS = np.array([0.0, 1e-3, 5.0, 9.999, 10.0, 1e4, 1e12])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 3, 2**64 - 1])
+@pytest.mark.parametrize("size", [None, 100])
+def test_point_poisson_equals_per_point_substreams(seed, size):
+    """Both of numpy's Poisson branches (below and from mean 10)."""
+    for label in (0, 1):
+        got = point_poisson(seed, label, LAMS, size)
+        assert got.shape == LAMS.shape + (() if size is None else (size,))
+        for j, lam in enumerate(LAMS):
+            want = substream(seed, label, j).poisson(lam, size)
+            assert np.array_equal(got[j], want), (label, j)

@@ -1,6 +1,7 @@
 """Etalon filters, spectrum scans, peak extraction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import hypothesis.strategies as st
 from cfcomm.circuit import build_circuit, propagate, sideband_strengths, weak_trace
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
-from cfcomm.spectral import (Etalon, PeakTable, Spectrum, detector_components,
-                             extract_peaks, scan_spectrum, source_filter_cascade)
+from cfcomm.spectral import (MAX_SCAN_POINTS, Etalon, PeakTable, Spectrum,
+                             detector_components, extract_peaks, scan_spectrum,
+                             source_filter_cascade)
 
 import oracles
 
@@ -197,6 +199,38 @@ def test_noisy_scan_is_reproducible_and_plausible(bench):
     mu = 1e5 * 25 / 64
     assert abs(s1.intensity[i0] - mu) < 6 * math.sqrt(mu)
     assert s1.stderr[i0] == pytest.approx(math.sqrt(mu), rel=0.5)
+
+
+@pytest.mark.parametrize("photons", [1, 37, 1e6, 1e13])
+@pytest.mark.parametrize("seed", [0, 5, 2**32 + 3, 2**64 - 1])
+def test_noisy_scan_equals_the_per_point_stream_loop(bench, photons, seed):
+    """Counts and error bars bit for bit, and no warning on the way."""
+    c = build_circuit(bench, "bit1")
+    expected = scan_spectrum(c, "det1", bench.scan_etalon, bench.eoms,
+                             photons=photons, noise=False).intensity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = scan_spectrum(c, "det1", bench.scan_etalon, bench.eoms,
+                          photons=photons, seed=seed)
+    intensity, stderr = oracles.noisy_counts(expected, seed)
+    assert np.array_equal(s.intensity, intensity)
+    assert np.array_equal(s.stderr, stderr)
+
+
+def test_scan_grid_size_is_limited(bench):
+    """The largest odd grid below the limit is scanned; one more step, an
+    enormous half-range or a vanishing step is refused before any work."""
+    c = build_circuit(bench, "calibration")
+    step = bench.scan_etalon.linewidth_ghz / 2.0
+    n_half = (MAX_SCAN_POINTS - 1) // 2
+    s = scan_spectrum(c, "det0", bench.scan_etalon, bench.eoms, noise=False,
+                      step_ghz=step, half_range_ghz=n_half * step)
+    assert s.detuning_ghz.size == MAX_SCAN_POINTS - 1
+    for half_range, step_ghz in [((n_half + 1) * step, step), (1e300, step),
+                                 (4.0, 1e-300)]:
+        with pytest.raises(ConfigError, match="points"):
+            scan_spectrum(c, "det0", bench.scan_etalon, bench.eoms,
+                          half_range_ghz=half_range, step_ghz=step_ghz)
 
 
 @pytest.mark.filterwarnings("ignore:scan range")
