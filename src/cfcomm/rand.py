@@ -94,17 +94,16 @@ def _point_keys(seed: int, label: int, n: int) -> np.ndarray:
     2**32`` and ``n <= 2**32``.
     """
     seed = check_seed(seed)
-    words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
-    entropy = words + [0] * (4 - len(words))
+    # a one-word seed's zero padding reads as a zero high word
     const, pool = _SS_INIT_A, []
-    for word in entropy:
+    for word in (seed & _MASK32, seed >> 32, 0, 0):
         word, const = _hashmix(word, const, _SS_MULT_A)
         pool.append(word)
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                word, const = _hashmix(pool[src], const, _SS_MULT_A)
-                pool[dst] = _mix(pool[dst], word)
+                hashed, const = _hashmix(pool[src], const, _SS_MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
     for word in (label, np.arange(n, dtype=np.uint32)):
         for dst in range(4):
             hashed, const = _hashmix(word, const, _SS_MULT_A)
