@@ -387,12 +387,6 @@ def _dark_phase(a: complex, b: complex) -> float:
     return cmath.phase(-a * b.conjugate())
 
 
-def _bright_phase(a: complex, b: complex) -> float:
-    if abs(a) == 0.0 or abs(b) == 0.0:
-        return 0.0
-    return cmath.phase(a * b.conjugate())
-
-
 def _inner_probe_amp(r2_split: float, r2_merge: float, phase: float) -> complex:
     """Merged-port amplitude of a bare two-splitter loop fed with unit light."""
     els = (
@@ -460,8 +454,9 @@ def calibration_tuning(cfg: DeviceConfig) -> Tuning:
     op = solve_tuning(cfg)
     ph1 = op.phase_inner_first + math.pi
     ph2 = op.phase_inner_second + math.pi
-    ph3 = _bright_phase(*_two_probe(
-        lambda p: _det0_amp(cfg, op.attenuator_t, ph1, ph2, p, shutter=False)))
+    a, b = _two_probe(
+        lambda p: _det0_amp(cfg, op.attenuator_t, ph1, ph2, p, shutter=False))
+    ph3 = _dark_phase(-a, b)  # the bright fringe of a + b e^{i phi}
     return Tuning(op.attenuator_t, ph1, ph2, ph3)
 
 

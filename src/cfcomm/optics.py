@@ -1,18 +1,19 @@
 """Single-photon amplitudes over (arm, sideband) and the elements acting on them.
 
 The photon state at any cut through the bench is a sparse map from
-``(arm name, sideband tag)`` to a complex amplitude.  A sideband tag records
-the chain of modulator kicks a component has received; the empty chain is
-the unshifted carrier.  Every optical element is a small dataclass whose
-``ports()`` give its in-ports, its out-ports and, for a linear element, a
-small port matrix ``M`` (rows: out-ports, columns: in-ports), the same for
-every sideband tag.  One routine moves amplitudes through it:
-:func:`apply_element` applies ``M`` from the in-ports to the out-ports, and
-:func:`apply_adjoint`, the step of backward evolution, applies ``M^H`` from
-the out-ports back to the in-ports.  A shutter (:func:`Block`) is an
-attenuator with transmission 0.  Only the modulator, which writes sideband
-tags forward and is the identity backward, and the detector, the identity
-both ways, have no matrix.
+``(arm name, sideband tag)`` to a complex amplitude.  A sideband tag is a
+plain tuple of ``(label, sign, instance)`` kicks, one per modulator pass the
+component has received, in order; the empty tuple is the unshifted carrier.
+Tags hash, compare and sort as tuples.  Every optical element is a small
+dataclass whose ``ports()`` give its in-ports, its out-ports and, for a
+linear element, a small port matrix ``M`` (rows: out-ports, columns:
+in-ports), the same for every sideband tag.  One routine moves amplitudes
+through it: :func:`apply_element` applies ``M`` from the in-ports to the
+out-ports, and :func:`apply_adjoint`, the step of backward evolution,
+applies ``M^H`` from the out-ports back to the in-ports.  A shutter
+(:func:`Block`) is an attenuator with transmission 0.  Only the modulator,
+which writes sideband tags forward and is the identity backward, and the
+detector, the identity both ways, have no matrix.
 
 Two modelling choices live here and nowhere else:
 
@@ -50,43 +51,16 @@ ALPHA_MAX = 0.5
 Ports = tuple[tuple[str, ...], tuple[str, ...], Optional[tuple[tuple[complex, ...], ...]]]
 
 
-@dataclass(frozen=True)
-class Shift:
-    """One modulator kick: which modulator, which sideband, which pass."""
+#: a component's modulator kicks, in order: (label, sign, instance) triples
+SidebandTag = tuple[tuple[str, int, int], ...]
 
-    label: str
-    sign: int
-    instance: int
+#: the unshifted carrier: no kicks
+CARRIER: SidebandTag = ()
 
 
-@dataclass(frozen=True)
-class SidebandTag:
-    """Frequency tag of one amplitude component (empty chain = carrier)."""
-
-    shifts: tuple[Shift, ...] = ()
-
-    @property
-    def order(self) -> int:
-        return len(self.shifts)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.shifts)
-
-    @property
-    def sort_key(self) -> tuple:
-        """Stable ordering key: keeps float-summation order hash-independent."""
-        return tuple((s.label, s.sign, s.instance) for s in self.shifts)
-
-    def shifted(self, label: str, sign: int, instance: int) -> "SidebandTag":
-        return SidebandTag(self.shifts + (Shift(label, sign, instance),))
-
-    def detuning_ghz(self, freqs: Mapping[str, float]) -> float:
-        """Net frequency offset from the carrier, given label -> GHz."""
-        return sum(s.sign * freqs[s.label] for s in self.shifts)
-
-
-CARRIER = SidebandTag()
+def detuning_ghz(tag: SidebandTag, freqs: Mapping[str, float]) -> float:
+    """Net frequency offset of a tag from the carrier, given label -> GHz."""
+    return sum(sign * freqs[label] for label, sign, _ in tag)
 
 
 @dataclass
@@ -134,7 +108,7 @@ class PhotonState:
         construction.
         """
         return sum(abs(a) ** 2 for (m, tag), a in self.amps.items()
-                   if m == mode and label in tag.labels)
+                   if m == mode and any(lab == label for lab, _, _ in tag))
 
 
 # --------------------------------------------------------------------------
@@ -317,8 +291,7 @@ def _transfer(state: PhotonState, e: Element, adjoint: bool) -> PhotonState:
     if len(src) == 1:
         tags = [tag for (mode, tag) in amps if mode == src[0]]
     else:
-        tags = sorted({tag for (mode, tag) in amps if mode in src},
-                      key=lambda g: g.sort_key)
+        tags = sorted({tag for (mode, tag) in amps if mode in src})
     for tag in tags:
         a = [amps.get((mode, tag), 0j) if mode in dst
              else amps.pop((mode, tag), 0j) for mode in src]
@@ -350,12 +323,12 @@ def _modulate(state: PhotonState, e: Eom, max_order: int) -> PhotonState:
     # independently, so freshly written sidebands must not be re-read
     for key, a in [(k, amps[k]) for k in amps if k[0] == e.mode]:
         tag = key[1]
-        if tag.order >= max_order:
+        if len(tag) >= max_order:
             continue  # already at the truncation depth: passes unchanged
         if a == 0j or e.alpha == 0.0:
             continue
-        ku = (e.mode, tag.shifted(e.label, +1, inst))
-        kd = (e.mode, tag.shifted(e.label, -1, inst))
+        ku = (e.mode, tag + ((e.label, +1, inst),))
+        kd = (e.mode, tag + ((e.label, -1, inst),))
         amps[ku] = amps.get(ku, 0j) + up * a
         amps[kd] = amps.get(kd, 0j) + dn * a
     return out

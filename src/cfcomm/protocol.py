@@ -224,6 +224,8 @@ def _parse_policy(policy: str) -> tuple[str, int]:
             raise ConfigError(f"malformed policy {policy!r}") from None
         if k < 1:
             raise ConfigError(f"majority quota must be >= 1, got {k}")
+        if k >= 2 ** 62:  # quota + extra trials (capped at 2**62) fits int64
+            raise ConfigError(f"majority quota must be below 2**62, got {k}")
         return ("majority", k)
     raise ConfigError(
         f"unknown policy {policy!r}; expected 'first-click' or 'majority:<k>'")
@@ -341,9 +343,7 @@ def read_pbm(path) -> Bitmap:
     tokens = body.split()
     if not tokens or tokens[0] != "P1":
         raise ConfigError(f"{path}: not a plain P1 bitmap")
-    fields: list[str] = []
-    for tok in tokens[1:3]:
-        fields.append(tok)
+    fields = tokens[1:3]
     try:
         width, height = int(fields[0]), int(fields[1])
     except (IndexError, ValueError):
@@ -415,6 +415,9 @@ def transmit_image(cfg: DeviceConfig, image: Bitmap, *,
     sent0, sent1 = kept & (bits == 0), kept & (bits == 1)
     err0 = float(np.mean(received[sent0] != 0)) if sent0.any() else 0.0
     err1 = float(np.mean(received[sent1] != 1)) if sent1.any() else 0.0
+    # a pixel may spend up to 2**63 - 1 trials, so an int64 sum of the counts
+    # wraps; the sums of their 31-bit halves do not
+    used = (int((trials >> 31).sum()) << 31) + int((trials & (2 ** 31 - 1)).sum())
     return TransmissionResult(
         image=Bitmap(image.width, image.height, decoded),
         pixel_error_rate=float(np.mean(decoded != image.bits)),
@@ -422,5 +425,5 @@ def transmit_image(cfg: DeviceConfig, image: Bitmap, *,
         err1=err1,
         erasures=int(np.count_nonzero(erased)),
         seed=int(seed),
-        trials_used=int(trials.sum()),
+        trials_used=used,
     )

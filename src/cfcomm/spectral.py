@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TopologyError
-from .optics import PhotonState
+from .optics import PhotonState, detuning_ghz
 from .rand import check_seed, point_poisson
 
 #: peaks must clear this many local-baseline standard errors to count as present
@@ -178,7 +178,7 @@ def detector_components(state: PhotonState, detector_mode: str,
     for tag, amp in state.components(detector_mode):
         p = abs(amp) ** 2
         if p > 0.0:
-            comps.append((tag.detuning_ghz(freqs), p))
+            comps.append((detuning_ghz(tag, freqs), p))
     return comps
 
 

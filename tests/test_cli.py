@@ -99,6 +99,9 @@ FAILING_RUNS = {
     # the scan stops short of the 3.4 GHz sidebands peak extraction reads
     "spectrum half-range 2": (*SCAN[:-1], "{tmp}/scan.csv", "--half-range", "2"),
     "send-image stats": BAD_RUNS["send-image stats"],
+    "send-image quota 1e20": ("send-image", "--image", "{image}", "--out",
+                              "{tmp}/o.pbm", "--policy",
+                              "majority:100000000000000000000"),
 }
 
 
@@ -233,6 +236,22 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, image_path):
     code, _, err = run(capsys, "--config", str(bad), "send-image", "--image",
                        str(image_path), "--out", str(tmp_path / "o.pbm"))
     assert code == 2 and "photon_rate_hz" in err
+
+
+def test_trials_used_counts_past_int64(tmp_path, capsys):
+    """4e18 trials per bin and 1e-30 heralding: all six pixels erased."""
+    doc = reference_dict()
+    doc["photon_rate_hz"] = 4e18
+    doc["imperfections"]["heralding_efficiency"] = 1e-30
+    cfg = tmp_path / "bright.json"
+    cfg.write_text(json.dumps(doc))
+    image = tmp_path / "in.pbm"
+    image.write_text("P1\n3 2\n1 0 1\n0 1 0\n")
+    code, stdout, _ = run(capsys, "--config", str(cfg), "send-image", "--image",
+                          str(image), "--out", str(tmp_path / "o.pbm"))
+    assert code == 0
+    assert '"trials_used": 24000000000000000000' in stdout
+    assert json.loads(stdout)["erasures"] == 6
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from cfcomm.errors import ConfigError, TopologyError
 from cfcomm.optics import (CARRIER, ALPHA_MAX, Attenuator, Beamsplitter, Block,
                            Detector, Eom, Mirror, PhaseShift, PhotonState,
-                           apply_adjoint, apply_element)
+                           apply_adjoint, apply_element, detuning_ghz)
 
 MODES = frozenset({"a", "b", "c", "d", "loss"})
 
@@ -31,24 +31,28 @@ amps_st = st.complex_numbers(min_magnitude=0.0, max_magnitude=1.0,
 
 # -- sideband tags ---------------------------------------------------------
 
+B1 = (("B", +1, 1),)  # one upper B sideband from modulator pass 1
+
+
 def test_tag_detuning_sums_signed_shifts():
-    tag = CARRIER.shifted("B", +1, 1).shifted("F", -1, 2)
-    assert tag.order == 2
-    assert tag.detuning_ghz({"B": 1.0, "F": 3.4}) == pytest.approx(1.0 - 3.4)
-    assert CARRIER.detuning_ghz({}) == 0.0
+    tag = (("B", +1, 1), ("F", -1, 2))
+    assert len(tag) == 2
+    assert detuning_ghz(tag, {"B": 1.0, "F": 3.4}) == pytest.approx(1.0 - 3.4)
+    assert detuning_ghz(CARRIER, {}) == 0.0
 
 
 def test_tag_instances_are_distinct_components():
-    one = CARRIER.shifted("B", +1, 1)
-    two = CARRIER.shifted("B", +1, 2)
+    one = (("B", +1, 1),)
+    two = (("B", +1, 2),)
     assert one != two
-    assert one.labels == two.labels == ("B",)
+    labels = [tuple(lab for lab, _, _ in tag) for tag in (one, two)]
+    assert labels[0] == labels[1] == ("B",)
 
 
 def test_tag_prob_sums_instances_incoherently():
     state = PhotonState(MODES)
-    state.amps[("a", CARRIER.shifted("B", +1, 1))] = 0.3 + 0j
-    state.amps[("a", CARRIER.shifted("B", +1, 2))] = -0.3 + 0j
+    state.amps[("a", (("B", +1, 1),))] = 0.3 + 0j
+    state.amps[("a", (("B", +1, 2),))] = -0.3 + 0j
     assert state.tag_prob("a", "B") == pytest.approx(0.18)
     assert state.carrier_prob("a") == 0.0
 
@@ -99,6 +103,26 @@ def test_splitter_must_be_unitary():
         Beamsplitter.from_r2(1.0, "a", "b", "c", "d")
 
 
+def test_splitter_emits_tags_in_label_sign_instance_order():
+    """Two feeding arms: tags are visited in sorted order, not insertion order."""
+    want = [CARRIER, (("A", -1, 1),), (("A", +1, 1),),
+            (("A", +1, 1), ("B", -1, 1)), (("A", +1, 2),), (("B", -1, 1),),
+            (("B", +1, 1),), (("B", +1, 2),), (("B", +1, 3),)]
+    scrambled = [want[i] for i in (8, 1, 4, 6, 0, 7, 5, 3, 2)]
+    bs = Beamsplitter.from_r2(0.4, "a", "b", "c", "d")
+    state = PhotonState(MODES)
+    for i, tag in enumerate(scrambled):
+        state.amps[("ab"[i % 2], tag)] = 0.1 * (i + 1) + 0j
+    out = apply_element(state, bs)
+    assert [tag for tag, _ in out.components("c")] == want
+    assert [tag for tag, _ in out.components("d")] == want
+    state = PhotonState(MODES)
+    for i, tag in enumerate(scrambled):
+        state.amps[("cd"[i % 2], tag)] = 0.1 * (i + 1) + 0j
+    back = apply_adjoint(state, bs)
+    assert [tag for tag, _ in back.components("a")] == want
+
+
 # -- adjoint pairing -------------------------------------------------------
 
 @pytest.mark.parametrize("element", [
@@ -126,10 +150,10 @@ def test_adjoint_pairing(element, a1, a2, b1, b2):
 
 def test_phase_shift_rotates_every_tag():
     state = two_mode(0.5, 0.0)
-    state.amps[("a", CARRIER.shifted("B", +1, 1))] = 0.1 + 0j
+    state.amps[("a", B1)] = 0.1 + 0j
     out = apply_element(state, PhaseShift("a", math.pi / 2))
     assert out.amp("a") == pytest.approx(0.5j)
-    assert out.amp("a", CARRIER.shifted("B", +1, 1)) == pytest.approx(0.1j)
+    assert out.amp("a", B1) == pytest.approx(0.1j)
 
 
 @given(t=st.floats(0.0, 1.0), a=amps_st)
@@ -149,7 +173,7 @@ def test_attenuator_range_checked():
 
 def test_block_moves_all_power_to_loss():
     state = two_mode(0.6, 0.8)
-    state.amps[("a", CARRIER.shifted("A", +1, 1))] = 0.11 + 0j
+    state.amps[("a", (("A", +1, 1),))] = 0.11 + 0j
     out = apply_element(state, Block("a", "loss"))
     assert out.mode_prob("a") == 0.0
     assert out.mode_prob("loss") == pytest.approx(0.36 + 0.11 ** 2)
@@ -178,8 +202,8 @@ def test_unknown_arm_rejected():
 def test_modulator_first_order_sidebands():
     out = apply_element(two_mode(0.5, 0.0), Eom("a", "B", 1.0, 0.146))
     assert out.amp("a") == pytest.approx(0.5)  # carrier undepleted
-    up = out.amp("a", CARRIER.shifted("B", +1, 1))
-    dn = out.amp("a", CARRIER.shifted("B", -1, 1))
+    up = out.amp("a", B1)
+    dn = out.amp("a", (("B", -1, 1),))
     assert up == pytest.approx(0.146 * 0.5)
     assert dn == pytest.approx(0.146 * 0.5)
 
@@ -197,10 +221,10 @@ def test_modulator_truncates_at_max_order():
     once = apply_element(two_mode(1.0, 0.0), e)
     twice = apply_element(once, e)
     # first-order model: existing sidebands pass unchanged
-    assert twice.amp("a", CARRIER.shifted("B", +1, 1)) == pytest.approx(0.4)
-    assert all(tag.order <= 1 for tag, _ in twice.components("a"))
+    assert twice.amp("a", B1) == pytest.approx(0.4)
+    assert all(len(tag) <= 1 for tag, _ in twice.components("a"))
     deeper = apply_element(once, e, max_order=2)
-    double = CARRIER.shifted("B", +1, 1).shifted("B", +1, 1)
+    double = B1 + B1
     assert deeper.amp("a", double) == pytest.approx(0.04)
 
 

@@ -176,7 +176,10 @@ def test_trial_probs_validates_bit(bench):
 def test_policy_parsing():
     assert _parse_policy("first-click") == ("first", 0)
     assert _parse_policy("majority:7") == ("majority", 7)
-    for bad in ("majority", "majority:0", "majority:-3", "majority:x", "vote"):
+    # quota + the extra trials (capped at 2**62) must fit an int64
+    assert _parse_policy(f"majority:{2**62 - 1}") == ("majority", 2**62 - 1)
+    for bad in ("majority", "majority:0", "majority:-3", "majority:x", "vote",
+                f"majority:{2**62}", "majority:100000000000000000000"):
         with pytest.raises(ConfigError):
             _parse_policy(bad)
 
