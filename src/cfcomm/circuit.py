@@ -88,14 +88,6 @@ class Circuit:
     open_ports: frozenset[str]
 
     @property
-    def modes(self) -> frozenset[str]:
-        names: set[str] = {m for m, _ in self.sources}
-        for e in self.elements:
-            ins, outs, _ = e.ports()
-            names.update(ins + outs)
-        return frozenset(names)
-
-    @property
     def detectors(self) -> dict[str, str]:
         return {e.name: e.mode for e in self.elements if isinstance(e, Detector)}
 
@@ -108,17 +100,17 @@ def _label(e: Element) -> str:
 def validate_circuit(c: Circuit) -> None:
     """Check the wiring is physical: every arm written once, used, terminated.
 
-    Arms move ``virgin -> live -> consumed``.  An element acts in place on
-    an arm that is both its in-port and its out-port, which must be live.
-    Its other in-ports are consumed; a virgin one is a vacuum port, allowed
-    only on an element with two in-ports (a splitter).  Its other out-ports
-    must be virgin and become live.  An element acting on a virgin or
-    consumed arm, or an arm left live outside ``open_ports``, is a wiring
-    error.
+    Arms move ``virgin -> live -> consumed``; an arm nothing has touched yet
+    is virgin.  An element acts in place on an arm that is both its in-port
+    and its out-port, which must be live.  Its other in-ports are consumed;
+    a virgin one is a vacuum port, allowed only on an element with two
+    in-ports (a splitter).  Its other out-ports must be virgin and become
+    live.  An element acting on a virgin or consumed arm, or an arm left
+    live outside ``open_ports``, is a wiring error.
     """
-    status = {m: "virgin" for m in c.modes}
+    status: dict[str, str] = {}
     for mode, _ in c.sources:
-        if status.get(mode) == "live":
+        if mode in status:
             raise TopologyError(f"duplicate source on arm {mode!r}")
         status[mode] = "live"
 
@@ -128,14 +120,15 @@ def validate_circuit(c: Circuit) -> None:
         if len(set(ins)) < len(ins) or len(set(outs)) < len(outs):
             raise TopologyError(f"{_label(e)} ports must differ")
         for m in ins:
-            vacuum = status[m] == "virgin" and len(ins) > 1 and m not in outs
-            if status[m] != "live" and not vacuum:
-                raise TopologyError(f"{_label(e)} acts on {status[m]} arm {m!r}")
+            arm = status.get(m, "virgin")
+            vacuum = arm == "virgin" and len(ins) > 1 and m not in outs
+            if arm != "live" and not vacuum:
+                raise TopologyError(f"{_label(e)} acts on {arm} arm {m!r}")
             if m not in outs:
                 status[m] = "consumed"
         for m in outs:
             if m not in ins:
-                if status[m] != "virgin":
+                if m in status:
                     raise TopologyError(f"{_label(e)} writes into already-used arm {m!r}")
                 status[m] = "live"
         if isinstance(e, Detector):
@@ -155,7 +148,7 @@ def validate_circuit(c: Circuit) -> None:
 
 def propagate(circuit: Circuit, max_order: int = 1) -> PhotonState:
     """Terminal state after every element."""
-    state = PhotonState.from_sources(circuit.modes, circuit.sources)
+    state = PhotonState.from_sources(circuit.sources)
     for e in circuit.elements:
         state = apply_element(state, e, max_order=max_order)
     return state
@@ -163,7 +156,7 @@ def propagate(circuit: Circuit, max_order: int = 1) -> PhotonState:
 
 def propagate_cuts(circuit: Circuit) -> list[PhotonState]:
     """Forward state at every cut; ``cuts[k]`` is the state after k elements."""
-    state = PhotonState.from_sources(circuit.modes, circuit.sources)
+    state = PhotonState.from_sources(circuit.sources)
     cuts = [state]
     for e in circuit.elements:
         state = apply_element(state, e)
@@ -190,7 +183,7 @@ def backward_cuts(circuit: Circuit, detector: str) -> list[PhotonState]:
     mode = circuit.detectors.get(detector)
     if mode is None:
         raise TopologyError(f"unknown detector {detector!r}")
-    state = PhotonState.from_sources(circuit.modes, ((mode, 1.0),))
+    state = PhotonState.from_sources(((mode, 1.0),))
     cuts = [state]
     for e in reversed(circuit.elements):
         state = apply_adjoint(state, e)
@@ -289,13 +282,10 @@ def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
               attenuator_t: float, phase_inner_first: float,
               phase_inner_second: float, phase_reference: float, *,
               shutter: bool,
-              extra_phases: Mapping[str, float] | None = None,
-              rf_phases: Mapping[str, float] | None = None) -> Circuit:
+              extra_phases: Mapping[str, float] | None = None) -> Circuit:
     """Unrolled element list for one pass of the folded bench.
 
-    ``eoms`` maps site -> spec (None disables all modulators); ``rf_phases``
-    maps a label to a locked RF phase, switching that modulator's two passes
-    from incoherent to coherent addition.
+    ``eoms`` maps site -> spec (None disables all modulators).
     """
     extra = dict(extra_phases or {})
     for arm in extra:
@@ -310,8 +300,7 @@ def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
         if eoms is None:
             return []
         s = eoms[site]
-        rf = None if rf_phases is None else rf_phases.get(s.label)
-        return [Eom(arm, s.label, s.freq_ghz, s.alpha, instance, rf)]
+        return [Eom(arm, s.label, s.freq_ghz, s.alpha, instance)]
 
     def dephase(arm: str) -> list[Element]:
         return [PhaseShift(arm, extra[arm], "dephasing")] if arm in extra else []
@@ -467,15 +456,13 @@ def preset_tuning(cfg: DeviceConfig, preset: str) -> Tuning:
 
 
 def build_circuit(cfg: DeviceConfig, preset: str, *, include_eoms: bool = True,
-                  extra_phases: Mapping[str, float] | None = None,
-                  rf_phases: Mapping[str, float] | None = None) -> Circuit:
+                  extra_phases: Mapping[str, float] | None = None) -> Circuit:
     """The unrolled bench for one preset: 'bit0', 'bit1' or 'calibration'."""
     tun = preset_tuning(cfg, preset)
     return _assemble(_r2_table(cfg), _eom_table(cfg) if include_eoms else None,
                      tun.attenuator_t, tun.phase_inner_first,
                      tun.phase_inner_second, tun.phase_reference,
-                     shutter=(preset == "bit1"), extra_phases=extra_phases,
-                     rf_phases=rf_phases)
+                     shutter=(preset == "bit1"), extra_phases=extra_phases)
 
 
 # --------------------------------------------------------------------------
@@ -537,12 +524,11 @@ class FoldedDevice:
         )
 
 
-def expand_folded(dev: FoldedDevice, *, include_eoms: bool = True,
-                  rf_phases: Mapping[str, float] | None = None) -> Circuit:
+def expand_folded(dev: FoldedDevice, *, include_eoms: bool = True) -> Circuit:
     """Unroll the folded bench into the explicit two-pass circuit."""
     r2 = {"outer": dev.outer_r2, "inner_near": dev.inner_near_r2,
           "inner_far": dev.inner_far_r2}
     eoms = {e.site: e for e in dev.eoms} if include_eoms else None
     return _assemble(r2, eoms, dev.attenuator_t, dev.inner_phase,
                      dev.inner_phase, dev.reference_phase,
-                     shutter=dev.shutter_closed, rf_phases=rf_phases)
+                     shutter=dev.shutter_closed)

@@ -59,7 +59,6 @@ def cmd_spectrum(args) -> int:
         cal_circuit, "det0", cfg.scan_etalon, cfg.eoms,
         half_range_ghz=args.half_range, step_ghz=args.step,
         photons=args.photons, seed=seed, noise=False)
-    cal_spec.tuning = "calibration"
     calibration = sp.extract_peaks(cal_spec, cfg.eoms)
     table = sp.extract_peaks(spec, cfg.eoms, calibration=calibration)
     spec.to_csv(args.out)  # last step that can fail: no CSV from a failed run

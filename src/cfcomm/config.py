@@ -42,8 +42,9 @@ class EomSpec:
         if self.site not in EOM_SITES:
             raise ConfigError(
                 f"unknown modulator site {self.site!r}; expected one of {EOM_SITES}")
-        if not self.label:
-            raise ConfigError("modulator label must be non-empty")
+        if not isinstance(self.label, str) or not self.label:
+            raise ConfigError(
+                f"modulator label must be a non-empty string, got {self.label!r}")
         if self.freq_ghz <= 0.0:
             raise ConfigError(f"modulator {self.label}: frequency must be positive")
         if not 0.0 <= self.alpha <= ALPHA_MAX:
@@ -191,7 +192,7 @@ def config_from_dict(raw: dict) -> DeviceConfig:
     try:
         eoms_raw = raw["eoms"]
         eoms = tuple(
-            EomSpec(site=site, label=str(spec["label"]),
+            EomSpec(site=site, label=spec["label"],
                     freq_ghz=_real(spec["freq_ghz"], "freq_ghz"),
                     alpha=_real(spec["alpha"], "alpha"))
             for site, spec in sorted(eoms_raw.items()))

@@ -14,8 +14,8 @@ class ConfigError(CfcommError):
 
 
 class TopologyError(CfcommError):
-    """A circuit references unknown arms, consumes an arm twice, or leaves
-    a live arm unterminated."""
+    """A circuit acts on an arm nothing wrote, consumes an arm twice, or
+    leaves a live arm unterminated."""
 
 
 class UndefinedPostselectionError(CfcommError):

@@ -1,7 +1,9 @@
 """Single-photon amplitudes over (arm, sideband) and the elements acting on them.
 
 The photon state at any cut through the bench is a sparse map from
-``(arm name, sideband tag)`` to a complex amplitude.  A sideband tag is a
+``(arm name, sideband tag)`` to a complex amplitude, and nothing more:
+that elements act only on arms something wrote is checked once per
+circuit, by :func:`cfcomm.circuit.validate_circuit`.  A sideband tag is a
 plain tuple of ``(label, sign, instance)`` kicks, one per modulator pass the
 component has received, in order; the empty tuple is the unshifted carrier.
 Tags hash, compare and sort as tuples.  Every optical element is a small
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterator, Mapping, Optional, Union
 
-from .errors import ConfigError, TopologyError
+from .errors import ConfigError
 
 #: validity limit of the first-order sideband treatment
 ALPHA_MAX = 0.5
@@ -65,22 +67,22 @@ def detuning_ghz(tag: SidebandTag, freqs: Mapping[str, float]) -> float:
 
 @dataclass
 class PhotonState:
-    """Sparse complex amplitude map over (arm, sideband tag)."""
+    """A state is its amplitudes: a sparse map over (arm, sideband tag).
 
-    modes: frozenset[str]
+    It keeps no set of arms; ``validate_circuit`` checks the wiring.
+    """
+
     amps: dict[tuple[str, SidebandTag], complex] = field(default_factory=dict)
 
     @classmethod
-    def from_sources(cls, modes, sources) -> "PhotonState":
-        state = cls(frozenset(modes))
+    def from_sources(cls, sources) -> "PhotonState":
+        state = cls()
         for mode, amp in sources:
-            if mode not in state.modes:
-                raise TopologyError(f"source on unknown arm {mode!r}")
             state.amps[(mode, CARRIER)] = state.amps.get((mode, CARRIER), 0j) + complex(amp)
         return state
 
     def copy(self) -> "PhotonState":
-        return PhotonState(self.modes, dict(self.amps))
+        return PhotonState(dict(self.amps))
 
     def amp(self, mode: str, tag: SidebandTag = CARRIER) -> complex:
         return self.amps.get((mode, tag), 0j)
@@ -240,12 +242,6 @@ class Detector:
 Element = Union[Beamsplitter, PhaseShift, Attenuator, Eom, Mirror, Detector]
 
 
-def _check_modes(state: PhotonState, *modes: str) -> None:
-    for m in modes:
-        if m not in state.modes:
-            raise TopologyError(f"element references unknown arm {m!r}")
-
-
 def apply_element(state: PhotonState, e: Element, max_order: int = 1) -> PhotonState:
     """State after one element (pure: the input state is left untouched).
 
@@ -278,7 +274,6 @@ def _transfer(state: PhotonState, e: Element, adjoint: bool) -> PhotonState:
     exactly zero is not stored.
     """
     ins, outs, m = e.ports()
-    _check_modes(state, *ins, *outs)
     out = state.copy()
     if m is None:
         return out
@@ -310,7 +305,6 @@ def _transfer(state: PhotonState, e: Element, adjoint: bool) -> PhotonState:
 
 def _modulate(state: PhotonState, e: Eom, max_order: int) -> PhotonState:
     """Forward modulator pass: each input component radiates two sidebands."""
-    _check_modes(state, e.mode)
     out = state.copy()
     amps = out.amps
     if e.rf_phase is None:

@@ -138,10 +138,7 @@ class Spectrum:
     intensity: np.ndarray
     stderr: np.ndarray
     detector: str
-    photons: float
     scan_etalon: Etalon
-    noise: bool
-    seed: int
     tuning: str = ""
 
     def __post_init__(self):
@@ -245,8 +242,7 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
         stderr = np.zeros_like(expected)
 
     return Spectrum(detuning_ghz=grid, intensity=intensity, stderr=stderr,
-                    detector=detector, photons=photons, scan_etalon=scan,
-                    noise=noise, seed=seed)
+                    detector=detector, scan_etalon=scan)
 
 
 # --------------------------------------------------------------------------

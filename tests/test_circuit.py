@@ -102,6 +102,21 @@ def test_numeric_attenuator_is_kept_and_phase_still_darkens(bench):
         assert detection_probs(worse)["det0"] > probs["det0"]
 
 
+def test_fixed_attenuator_at_the_balance_point_is_the_auto_tuning(bench):
+    fixed = dataclasses.replace(bench, attenuator_t=0.25)
+    assert solve_tuning(fixed) == solve_tuning(bench)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+def test_fixed_attenuator_leaks_its_imbalance_into_det0(bench, t):
+    """The reference arm reaches det0 with amplitude t/2 against the 1/8 it
+    must cancel, so the shuttered bench leaks (t - 1/4)^2 / 4."""
+    cfg = dataclasses.replace(bench, attenuator_t=t)
+    assert solve_tuning(cfg).attenuator_t == t
+    probs = detection_probs(build_circuit(cfg, "bit1", include_eoms=False))
+    assert probs["det0"] == pytest.approx((t - 0.25) ** 2 / 4, rel=0, abs=1e-15)
+
+
 def test_preset_tuning_rejects_unknown(bench):
     with pytest.raises(ConfigError, match="preset"):
         preset_tuning(bench, "bit2")

@@ -35,6 +35,8 @@ MALFORMED = (
     + [(path, bad) for path in FLOAT_FIELDS for bad in (True, False)]
     + [(path, "0.5") for path in FLOAT_FIELDS if path[0] == "imperfections"]
     + [(("imperfections", "contrast"), 0.5), (("imperfections",), [0.5])]
+    # labels name peaks in the output: JSON strings only, never str(value)
+    + [(("eoms", "link", "label"), bad) for bad in (None, 5, ["A"], True)]
 )
 
 
@@ -75,6 +77,14 @@ def test_seed_range_holds_without_json(seed):
     """Configs built in code take the seeds the random streams take."""
     with pytest.raises(ConfigError, match="seed"):
         dataclasses.replace(reference_device(), seed=seed)
+
+
+@pytest.mark.parametrize("label", [None, 5, ("A",), True, ""], ids=repr)
+def test_modulator_label_is_a_string_without_json(label):
+    """Modulators built in code meet the same rule on labels."""
+    spec = reference_device().eom_at("link")
+    with pytest.raises(ConfigError, match="label"):
+        dataclasses.replace(spec, label=label)
 
 
 def test_imperfections_are_read_as_floats():

@@ -59,17 +59,6 @@ def test_unrolled_passes_carry_distinct_instances(bench):
     assert sorted(e.instance for e in link_eoms) == [1, 2]
 
 
-def test_rf_phases_reach_the_modulators(bench):
-    c = expand_folded(FoldedDevice.from_config(bench, "bit0"),
-                      rf_phases={"F": 0.4})
-    link_eoms = [e for e in c.elements
-                 if isinstance(e, Eom) and e.label == "F"]
-    assert all(e.rf_phase == 0.4 for e in link_eoms)
-    others = [e for e in c.elements
-              if isinstance(e, Eom) and e.label != "F"]
-    assert all(e.rf_phase is None for e in others)
-
-
 def test_folded_device_rejects_duplicate_labels(bench):
     dev = FoldedDevice.from_config(bench, "bit0")
     twice = tuple(dataclasses.replace(e, label="X") for e in dev.eoms[:2]

@@ -264,10 +264,10 @@ def test_spectrum_csv_round_trips(bench, tmp_path):
 def test_spectrum_validation():
     with pytest.raises(ConfigError, match="increasing"):
         Spectrum(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2),
-                 "det0", 1.0, Etalon(8.0, 0.1), False, 0)
+                 "det0", Etalon(8.0, 0.1))
     with pytest.raises(ConfigError, match="non-negative"):
         Spectrum(np.array([0.0, 1.0]), np.array([1.0, -2.0]), np.zeros(2),
-                 "det0", 1.0, Etalon(8.0, 0.1), False, 0)
+                 "det0", Etalon(8.0, 0.1))
 
 
 @pytest.mark.filterwarnings("ignore:scan range")
