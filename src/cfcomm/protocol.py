@@ -20,9 +20,9 @@ distributions (geometric, binomial, negative binomial).  One bit consumes
 two uniforms from its own counter-based stream, so results are identical
 bit for bit whether bits are sampled singly or in vectorized blocks.
 
-Only majority sampling (``scipy.stats`` ``ppf``) and :func:`fit_model`
-(``scipy.optimize.brentq``) load scipy, on first use; importing the module
-and first-click transport need numpy alone.
+Only majority sampling (``scipy.stats`` ``ppf``) loads scipy, on first
+use; importing the module, first-click transport and the visibility fit,
+which inverts the drift model in closed form, need numpy alone.
 """
 
 from __future__ import annotations
@@ -153,39 +153,71 @@ def model_error_rates(cfg: DeviceConfig, visibility_inner: float,
     return b0[1] / (b0[0] + b0[1]), b1[0] / (b1[0] + b1[1])
 
 
+def _loop_visibility(cfg: DeviceConfig, bit: int, err: float,
+                     ends: tuple[tuple[float, float], tuple[float, float]],
+                     where: str = "") -> float:
+    """Visibility of one loop at which the error rate of ``bit`` is ``err``.
+
+    ``ends`` holds the (inner, outer) visibility pairs at which the loop is
+    fully dephased and fully coherent.  Between them the rate is
+    ``N(v) / D(v)`` with ``N`` and ``D`` linear, so ``(rate - err) x D`` is
+    linear in ``v`` and vanishes at ``v = h0 / (h0 - h1)`` from its values
+    at the two ends.  With ``h0 >= 0 >= h1`` the quotient lies in [0, 1]
+    exactly, since rounding keeps ``h0 - h1 >= h0``.  ``err`` above the
+    dephased rate or below the coherent one raises FitInfeasibleError.
+    """
+    loop = ("inner", "outer")[bit]
+    probs = [mixture_probs(cfg, _PRESET_BY_BIT[bit], vi, vo) for vi, vo in ends]
+    # (error rate, clicks) at each end, the rate formed as model_error_rates does
+    (r0, d0), (r1, d1) = ((p[1 - bit] / (p[0] + p[1]), p[0] + p[1]) for p in probs)
+    if r0 < err:
+        raise FitInfeasibleError(
+            f"err{bit}={err} exceeds the fully dephased {loop} loop "
+            f"({r0:.6g}){where}; no visibility fits")
+    if r0 == err:  # also when no visibility moves the rate
+        return 0.0
+    if r1 > err:
+        raise FitInfeasibleError(
+            f"err{bit}={err} is below the fully coherent {loop} loop "
+            f"({r1:.6g}){where}; no visibility fits")
+    h0, h1 = (r0 - err) * d0, (r1 - err) * d1
+    return h0 / (h0 - h1)
+
+
 def fit_model(cfg: DeviceConfig, err0: float, err1: float) -> ImperfectionModel:
     """Visibilities that reproduce measured click-conditioned error rates.
 
     err1 does not depend on the inner visibility — light reaching det1 on a
     closed-shutter bit never interferes in the inner loop — so the outer
     visibility is solved from err1 first and the inner from err0 after.
-    Rates outside what any visibility pair can produce raise
-    :class:`FitInfeasibleError`; nothing is clamped.
-    """
-    from scipy.optimize import brentq  # deferred: keeps scipy off start-up
+    Both solves are exact, from the cached :func:`sector_probs`, because
+    the sector weights are linear in each visibility.  At ``vi = 1`` the
+    bit1 rates are ``cd + vo (cc - cd)``, so
+    ``err1 = (a0 + vo a1) / (t0 + vo t1)`` with ``a`` the det0 terms and
+    ``t`` the totals, which inverts to
+    ``vo = (err1 t0 - a0) / (a1 - err1 t1)``.  At that ``vo`` the bit0
+    rates are ``D + vi (C - D)`` with ``C = vo cc + (1 - vo) cd`` and
+    ``D = vo dc + (1 - vo) dd``, and err0 (det1 over the total) inverts
+    the same way.  :func:`_loop_visibility` evaluates each inverse from
+    the rates at the ends of the visibility range.
 
+    Rates that no visibility pair in [0, 1] produces raise
+    :class:`FitInfeasibleError`; nothing is clamped.  Each loop is first
+    held against its fully dephased end, where a rate that falls with
+    visibility is highest.  The inner check also refuses err0 that rises
+    with the inner visibility, as it can on a bench whose inner splitters
+    differ; the inverse itself would fit those rates, but the check stays
+    until the benchmark, which tallies that refusal by its message as a
+    known defect, stops counting on it.  A rate below the fully coherent
+    end raises too.
+    """
     if not 0.0 <= err0 < 1.0 or not 0.0 <= err1 < 1.0:
         raise FitInfeasibleError(
             f"error rates must be in [0, 1), got err0={err0}, err1={err1}")
 
-    def f_outer(vo: float) -> float:
-        return model_error_rates(cfg, 1.0, vo)[1] - err1
-
-    if f_outer(0.0) < 0.0:
-        raise FitInfeasibleError(
-            f"err1={err1} exceeds the fully dephased outer loop "
-            f"({model_error_rates(cfg, 1.0, 0.0)[1]:.6g}); no visibility fits")
-    vo = float(brentq(f_outer, 0.0, 1.0, xtol=1e-15))
-
-    def f_inner(vi: float) -> float:
-        return model_error_rates(cfg, vi, vo)[0] - err0
-
-    if f_inner(0.0) < 0.0:
-        raise FitInfeasibleError(
-            f"err0={err0} exceeds the fully dephased inner loop "
-            f"({model_error_rates(cfg, 0.0, vo)[0]:.6g}) at outer visibility "
-            f"{vo:.6g}; no visibility fits")
-    vi = float(brentq(f_inner, 0.0, 1.0, xtol=1e-15))
+    vo = _loop_visibility(cfg, 1, err1, ((1.0, 0.0), (1.0, 1.0)))
+    vi = _loop_visibility(cfg, 0, err0, ((0.0, vo), (1.0, vo)),
+                          f" at outer visibility {vo:.6g}")
     return ImperfectionModel(visibility_inner=vi, visibility_outer=vo,
                              dark_rate=cfg.imperfections.dark_rate,
                              heralding_efficiency=cfg.imperfections.heralding_efficiency)

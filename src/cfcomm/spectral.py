@@ -102,9 +102,13 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
     while profile(hi) > half:
         hi *= 2.0
     lo = 0.0
-    # bisection on the monotone flank of the central peak
+    # bisection on the monotone flank of the central peak; it keeps
+    # profile(lo) > half >= profile(hi), so once the midpoint rounds onto
+    # an end no further step changes either
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if profile(mid) > half:
             lo = mid
         else:
@@ -311,7 +315,8 @@ def extract_peaks(s: Spectrum, eoms,
     the +- pair) clears ``PRESENCE_SIGMA`` local standard errors, with an
     absolute floor of ``1e-9 x carrier`` for noise-free spectra.  Ratios
     require a calibration table (pass the table extracted from the
-    all-bright spectrum); without one they are left unset.
+    all-bright spectrum) and a positive carrier of their own spectrum, the
+    unit they divide by; without either they are left unset (``None``).
     """
     eoms = list(eoms)
     labels = sorted({e.label for e in eoms})
@@ -346,7 +351,7 @@ def extract_peaks(s: Spectrum, eoms,
         ratio = None
         if calibration is not None:
             unit = alpha[lab] ** 2 * carrier
-            ratio = height / unit if unit > 0.0 else 0.0
+            ratio = height / unit if unit > 0.0 else None
         table.labels[lab] = PeakEntry(present=height > floor, height=height,
                                       height_over_calibration=ratio)
     return table

@@ -278,6 +278,34 @@ def err_rates(v_inner: float, v_outer: float) -> tuple[float, float]:
     return err0, err1
 
 
+def root_search_fit(rates, err0: float, err1: float) -> tuple[float, float]:
+    """The visibility fit by bracketed root search, for any bench.
+
+    ``rates(v_inner, v_outer)`` gives the model's (err0, err1).  The outer
+    visibility is the root of ``rates(1, vo)[1] - err1`` and the inner the
+    root of ``rates(vi, vo)[0] - err0``, each by ``brentq`` on [0, 1] to
+    ``xtol=1e-15``.  Raises ``ValueError`` where no visibility fits: a rate
+    outside [0, 1), above the fully dephased end of its loop, or (from
+    ``brentq``) on the same side of ``err`` at both ends.
+    """
+    if not 0.0 <= err0 < 1.0 or not 0.0 <= err1 < 1.0:
+        raise ValueError("error rates must be in [0, 1)")
+
+    def f_outer(vo):
+        return rates(1.0, vo)[1] - err1
+
+    if f_outer(0.0) < 0.0:
+        raise ValueError("err1 exceeds the fully dephased outer loop")
+    vo = float(brentq(f_outer, 0.0, 1.0, xtol=1e-15))
+
+    def f_inner(vi):
+        return rates(vi, vo)[0] - err0
+
+    if f_inner(0.0) < 0.0:
+        raise ValueError("err0 exceeds the fully dephased inner loop")
+    return float(brentq(f_inner, 0.0, 1.0, xtol=1e-15)), vo
+
+
 def fitted_visibilities(target_err0: float, target_err1: float) -> tuple[float, float]:
     """Closed-form inversion of err_rates for the 50/50 device.
 

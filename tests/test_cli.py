@@ -46,6 +46,20 @@ def test_spectrum_writes_csv_and_peak_table(tmp_path, capsys):
     assert not table["labels"]["A"]["present"]
 
 
+def test_spectrum_without_a_carrier_leaves_ratios_unset(tmp_path, capsys):
+    """Three photons unmix to no positive carrier, so there is no unit to
+    express a peak in: every ratio is null, not 0.0 as for an absent peak."""
+    code, stdout, _ = run(capsys, "spectrum", "--preset", "bit1",
+                          "--detector", "det1", "--out",
+                          str(tmp_path / "s.csv"), "--photons", "3")
+    assert code == 0
+    table = json.loads(stdout)
+    assert table["carrier_height"] <= 0.0
+    assert sorted(table["labels"]) == ["A", "B", "C", "E", "F"]
+    for entry in table["labels"].values():
+        assert entry["height_over_calibration"] is None
+
+
 def test_spectrum_on_dark_detector_fails_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--preset", "bit0",
                        "--detector", "det1", "--out", str(tmp_path / "x.csv"))

@@ -143,6 +143,83 @@ def test_fit_rejects_unreachable_rates(bench, err0, err1):
         fit_model(bench, err0, err1)
 
 
+@pytest.fixture(scope="module")
+def asymmetric(bench):
+    """Benches with every splitter r^2 drawn in [0.35, 0.65]."""
+    rng = np.random.default_rng(12)
+    return [dataclasses.replace(
+        bench, attenuator_t="auto", beamsplitter_r2=tuple(
+            (name, float(rng.uniform(0.35, 0.65))) for name in BS_NAMES))
+        for _ in range(40)]
+
+
+def test_fit_matches_root_search(asymmetric):
+    """The closed form against brentq on the model: the same inputs raise
+    (brentq's bare ValueError is FitInfeasibleError) and the fits agree."""
+    rng = np.random.default_rng(13)
+    raised = fitted = 0
+    for cfg in asymmetric:
+        vi, vo = rng.uniform(0.9, 0.99, size=2)
+        # an inner end with a drawn vo is rounding's call: see the next test
+        cases = [model_error_rates(cfg, a, b) for a, b in itertools.product(
+            (0.0, 1.0, vi), (0.0, 1.0, vo)) if not (a in (0.0, 1.0) and b == vo)]
+        for err0, err1 in cases + [(0.0, 0.0), (0.05, 0.01)]:
+            try:
+                want = oracles.root_search_fit(
+                    lambda a, b: model_error_rates(cfg, a, b), err0, err1)
+            except ValueError:
+                with pytest.raises(FitInfeasibleError):
+                    fit_model(cfg, err0, err1)
+                raised += 1
+                continue
+            got = fit_model(cfg, err0, err1)
+            assert got.visibility_inner == pytest.approx(want[0], abs=1e-12)
+            assert got.visibility_outer == pytest.approx(want[1], abs=1e-12)
+            fitted += 1
+    assert raised > 50 and fitted > 100  # both outcomes are exercised
+
+
+def test_fit_at_an_inner_end_returns_that_end_or_raises(asymmetric):
+    """Rates made at vi = 0 or 1 sit on the edge of the feasible range, so
+    a rounding-level difference in the fitted vo decides whether err0 is
+    reachable, for the root search as for the closed form.  Either way the
+    outcome is FitInfeasibleError or the end itself."""
+    rng = np.random.default_rng(14)
+    fitted = 0
+    for cfg in asymmetric:
+        vo = float(rng.uniform(0.9, 0.99))
+        for vi in (0.0, 1.0):
+            try:
+                got = fit_model(cfg, *model_error_rates(cfg, vi, vo))
+            except FitInfeasibleError:
+                continue
+            assert got.visibility_inner == pytest.approx(vi, abs=1e-12)
+            assert got.visibility_outer == pytest.approx(vo, abs=1e-12)
+            fitted += 1
+    assert fitted > 40  # of 80
+
+
+@pytest.mark.parametrize("vi", [0.0, 0.95, 1.0])
+@pytest.mark.parametrize("vo", [0.0, 0.93, 1.0])
+def test_fit_recovers_end_visibilities(bench, vi, vo):
+    """On the 50/50 bench the rates at either end fit back without raising,
+    and a dephased loop reads +0.0."""
+    got = fit_model(bench, *model_error_rates(bench, vi, vo))
+    assert got.visibility_inner == pytest.approx(vi, abs=1e-12)
+    assert got.visibility_outer == pytest.approx(vo, abs=1e-12)
+    for want, v in ((vi, got.visibility_inner), (vo, got.visibility_outer)):
+        if want == 0.0:
+            assert math.copysign(1.0, v) == 1.0
+
+
+def test_fit_of_zero_errors_is_infeasible_on_asymmetric_benches(asymmetric):
+    """Unequal splitters leave a wrong click even with both loops coherent,
+    so zero error rates lie below every reachable pair."""
+    for cfg in asymmetric:
+        with pytest.raises(FitInfeasibleError, match="below the fully coherent"):
+            fit_model(cfg, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("v", [0.0, 0.5, 0.73, 1.0])
 def test_two_path_contrast_equals_visibility(v):
     assert two_path_contrast(v) == pytest.approx(v, abs=1e-12)

@@ -104,6 +104,44 @@ def test_source_cascade_equals_the_scalar_profile_exactly(bench):
     assert rep.sidepeak_suppression_db == -10.0 * math.log10(vals[k] / prof(0.0))
 
 
+def bisected_fwhm(etalons, raw_linewidth):
+    """The cascade's FWHM by 200 full bisection steps, with the profile
+    ``source_filter_cascade`` evaluates."""
+    def profile(d):
+        p = 1.0 / (1.0 + (2.0 * d / raw_linewidth) ** 2)
+        for e in etalons:
+            p *= e.transmission(d)
+        return p
+
+    half = profile(0.0) / 2.0
+    lo, hi = 0.0, min(e.linewidth_ghz for e in etalons)
+    while profile(hi) > half:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if profile(mid) > half:
+            lo = mid
+        else:
+            hi = mid
+    return lo + hi
+
+
+def test_source_cascade_fwhm_equals_the_full_bisection(bench):
+    """Stopping once the midpoint rounds onto an end changes no bit."""
+    rng = np.random.default_rng(9)
+    stacks = [tuple(bench.source_etalons)]
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        lws = rng.uniform(0.05, 1.5, size=n)
+        stacks.append(tuple(Etalon(float(lw * rng.uniform(10.0, 80.0)), float(lw))
+                            for lw in lws))
+    for etalons in stacks:
+        raw = float(rng.uniform(50.0, 2000.0))
+        rep = source_filter_cascade(
+            etalons, raw, exclusion_ghz=3.0 * min(e.linewidth_ghz for e in etalons))
+        assert rep.effective_linewidth_ghz == bisected_fwhm(etalons, raw)
+
+
 def test_source_cascade_rejects_exclusion_inside_the_line(bench):
     with pytest.raises(ConfigError, match="exclusion"):
         source_filter_cascade(bench.source_etalons,

@@ -1,4 +1,4 @@
-"""Start-up stays scipy-free: only majority sampling and the fit load it.
+"""Start-up stays scipy-free: only majority sampling loads it.
 
 Each check runs in a child interpreter, because this process has imported
 scipy already (``tests/oracles.py`` uses it).
@@ -66,7 +66,7 @@ def test_majority_transport_loads_scipy_stats(tmp_path):
     assert (tmp_path / "out.pbm").read_text().startswith("P1\n3 2\n")
 
 
-def test_fit_loads_scipy_optimize(tmp_path):
+def test_fit_loads_no_scipy(tmp_path):
     body = """
 from cfcomm import fit_model, reference_device
 from cfcomm.protocol import model_error_rates
@@ -75,4 +75,4 @@ fit = fit_model(cfg, *model_error_rates(cfg, 0.97, 0.98))
 if abs(fit.visibility_inner - 0.97) > 1e-9 or abs(fit.visibility_outer - 0.98) > 1e-9:
     sys.exit(f"fit missed: {fit}")
 """
-    assert "scipy.optimize" in scipy_modules_after(tmp_path, body)
+    assert scipy_modules_after(tmp_path, body) == []
