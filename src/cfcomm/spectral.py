@@ -316,7 +316,8 @@ def extract_peaks(s: Spectrum, eoms,
     absolute floor of ``1e-9 x carrier`` for noise-free spectra.  Ratios
     require a calibration table (pass the table extracted from the
     all-bright spectrum) and a positive carrier of their own spectrum, the
-    unit they divide by; without either they are left unset (``None``).
+    unit they divide by; without either they are left unset (``None``).  A
+    modulator with ``alpha`` 0 has no unit of its own and reads 0.0.
     """
     eoms = list(eoms)
     labels = sorted({e.label for e in eoms})
@@ -349,9 +350,9 @@ def extract_peaks(s: Spectrum, eoms,
         local_err = 0.5 * math.hypot(float(s.stderr[iu]), float(s.stderr[idn]))
         floor = max(PRESENCE_SIGMA * local_err, PRESENCE_REL_FLOOR * abs(carrier))
         ratio = None
-        if calibration is not None:
+        if calibration is not None and carrier > 0.0:
             unit = alpha[lab] ** 2 * carrier
-            ratio = height / unit if unit > 0.0 else None
+            ratio = height / unit if unit > 0.0 else 0.0
         table.labels[lab] = PeakEntry(present=height > floor, height=height,
                                       height_over_calibration=ratio)
     return table

@@ -60,6 +60,23 @@ def test_spectrum_without_a_carrier_leaves_ratios_unset(tmp_path, capsys):
         assert entry["height_over_calibration"] is None
 
 
+def test_spectrum_modulator_without_depth_reads_zero(tmp_path, capsys):
+    """An ``alpha`` 0 modulator makes no sideband and has no unit of its
+    own: with a positive carrier its ratio reads 0.0, not null."""
+    doc = reference_dict()
+    doc["eoms"]["link"]["alpha"] = 0.0
+    cfg = tmp_path / "flat-link.json"
+    cfg.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "--config", str(cfg), "spectrum",
+                          "--preset", "bit1", "--detector", "det1",
+                          "--out", str(tmp_path / "s.csv"), "--no-noise")
+    assert code == 0
+    table = json.loads(stdout)
+    assert table["carrier_height"] > 0.0
+    assert table["labels"]["F"]["height_over_calibration"] == 0.0
+    assert table["labels"]["B"]["height_over_calibration"] > 1.0
+
+
 def test_spectrum_on_dark_detector_fails_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--preset", "bit0",
                        "--detector", "det1", "--out", str(tmp_path / "x.csv"))

@@ -5,17 +5,21 @@ Run from anywhere, with the record's number::
     python3 tools/record_bench.py 12                      # this checkout
     python3 tools/record_bench.py 11 --repo ../parent --out BENCH_11.json
 
-It runs the three perfbench workloads untraced at one seed (20260 by
-default), then times acceptance criterion 7 and the Tier-1 suite, all in the
+It runs the three perfbench workloads untraced for ``SECONDS`` each at
+``SEED``, then times acceptance criterion 7 and the Tier-1 suite, all in the
 checkout given by ``--repo``, and writes their results with the machine
-facts of the perfbench report.  Every figure comes from that checkout's own
-``perfbench/run.py`` and tests; only the stdlib is needed here.
+facts of the perfbench report.  Every record uses the same seed and length,
+so any two can be compared.  Every figure comes from that checkout's own
+``perfbench/run.py`` and tests; only the stdlib is needed here.  A record of
+a work tree that differs from its commit also stores the SHA-256 of
+``git diff HEAD``, so it still names the code it measured.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import re
@@ -24,6 +28,8 @@ import sys
 import time
 
 WORKLOADS = ("transport", "commission", "cli")
+SEED = 20260
+SECONDS = 30.0
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_protocol_statistics"
 
 
@@ -34,10 +40,10 @@ def run(argv, cwd, env=None) -> tuple[subprocess.CompletedProcess, float]:
     return proc, time.perf_counter() - t0
 
 
-def workload(repo: str, name: str, seed: int, seconds: float) -> dict:
+def workload(repo: str, name: str) -> dict:
     """One untraced perfbench run: its result line and the report's facts."""
     proc, _ = run([sys.executable, "perfbench/run.py", "--workload", name,
-                   "--seed", str(seed), "--seconds", str(seconds),
+                   "--seed", str(SEED), "--seconds", str(SECONDS),
                    "--trace", "0"], repo)
     if proc.returncode != 0:
         sys.exit(f"perfbench {name} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -66,12 +72,16 @@ def pytest_run(repo: str, args: list[str]) -> dict:
 
 
 def git_head(repo: str) -> dict:
-    """The checkout's commit, and whether its work tree differs from it."""
+    """The checkout's commit, whether its work tree differs from it, and if
+    so the SHA-256 of that difference."""
     head, _ = run(["git", "rev-parse", "HEAD"], repo)
-    status, _ = run(["git", "status", "--porcelain", "--untracked-files=no"], repo)
-    if head.returncode != 0 or status.returncode != 0:
+    diff, _ = run(["git", "diff", "--binary", "HEAD"], repo)
+    if head.returncode != 0 or diff.returncode != 0:
         return {"commit": None, "modified": None}
-    return {"commit": head.stdout.strip(), "modified": bool(status.stdout.strip())}
+    record = {"commit": head.stdout.strip(), "modified": bool(diff.stdout)}
+    if diff.stdout:
+        record["diff_sha256"] = hashlib.sha256(diff.stdout.encode()).hexdigest()
+    return record
 
 
 def main(argv=None) -> int:
@@ -79,8 +89,6 @@ def main(argv=None) -> int:
     p.add_argument("number", type=int, help="n of BENCH_<n>.json")
     p.add_argument("--repo", default=os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), help="checkout to measure")
-    p.add_argument("--seed", type=int, default=20260)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--out", help="output path (default: BENCH_<n>.json in --repo)")
     args = p.parse_args(argv)
     repo = os.path.abspath(args.repo)
@@ -92,12 +100,12 @@ def main(argv=None) -> int:
         **git_head(repo),
         "recorded_utc": datetime.datetime.now(datetime.timezone.utc)
                                          .isoformat(timespec="seconds"),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "workloads": {},
     }
     for name in WORKLOADS:
-        res = workload(repo, name, args.seed, args.seconds)
+        res = workload(repo, name)
         record["machine"] = res.pop("machine")  # the same for every workload
         record["workloads"][name] = res
     record["criterion_7"] = pytest_run(repo, [CRITERION_7])
