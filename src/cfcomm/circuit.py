@@ -23,8 +23,8 @@ from typing import Mapping
 
 from .config import BS_NAMES, EOM_SITES, DeviceConfig, EomSpec
 from .errors import ConfigError, TopologyError, UndefinedPostselectionError
-from .optics import (CARRIER, Attenuator, Beamsplitter, Block, Detector, Element,
-                     Eom, Mirror, PhaseShift, PhotonState, apply_adjoint,
+from .optics import (CARRIER, Attenuator, Beamsplitter, Block, Element, Eom,
+                     Mirror, PhaseShift, PhotonState, apply_adjoint,
                      apply_element)
 
 # arm names, in the order light meets them
@@ -81,15 +81,18 @@ class Circuit:
 
     ``open_ports`` are the arms allowed to still hold light after the last
     element (dumps and loss arms); anything else left live is a wiring bug.
+    ``detectors`` are the arms read out after the last element.
     """
 
     elements: tuple[Element, ...]
     sources: tuple[tuple[str, complex], ...]
     open_ports: frozenset[str]
+    detectors: tuple[str, ...] = ()
 
-    @property
-    def detectors(self) -> dict[str, str]:
-        return {e.name: e.mode for e in self.elements if isinstance(e, Detector)}
+
+def _ports(e: Element) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """An element's in-ports and out-ports; a modulator acts in place."""
+    return ((e.mode,), (e.mode,)) if isinstance(e, Eom) else (e.ins, e.outs)
 
 
 def _label(e: Element) -> str:
@@ -105,8 +108,9 @@ def validate_circuit(c: Circuit) -> None:
     and its out-port, which must be live.  Its other in-ports are consumed;
     a virgin one is a vacuum port, allowed only on an element with two
     in-ports (a splitter).  Its other out-ports must be virgin and become
-    live.  An element acting on a virgin or consumed arm, or an arm left
-    live outside ``open_ports``, is a wiring error.
+    live.  An element acting on a virgin or consumed arm, a detector arm
+    not live at the end, or another arm left live outside ``open_ports``,
+    is a wiring error.
     """
     status: dict[str, str] = {}
     for mode, _ in c.sources:
@@ -114,9 +118,8 @@ def validate_circuit(c: Circuit) -> None:
             raise TopologyError(f"duplicate source on arm {mode!r}")
         status[mode] = "live"
 
-    names = set()
     for e in c.elements:
-        ins, outs, _ = e.ports()
+        ins, outs = _ports(e)
         if len(set(ins)) < len(ins) or len(set(outs)) < len(outs):
             raise TopologyError(f"{_label(e)} ports must differ")
         for m in ins:
@@ -131,13 +134,12 @@ def validate_circuit(c: Circuit) -> None:
                 if m in status:
                     raise TopologyError(f"{_label(e)} writes into already-used arm {m!r}")
                 status[m] = "live"
-        if isinstance(e, Detector):
-            if e.name in names:
-                raise TopologyError(f"duplicate detector name {e.name!r}")
-            names.add(e.name)
 
-    dangling = [m for m in sorted(status)
-                if status[m] == "live" and m not in c.open_ports]
+    for m in c.detectors:
+        if status.get(m, "virgin") != "live":
+            raise TopologyError(f"detector on {status.get(m, 'virgin')} arm {m!r}")
+    dangling = [m for m in sorted(status) if status[m] == "live"
+                and m not in c.open_ports and m not in c.detectors]
     if dangling:
         raise TopologyError(f"arms left dangling at the end: {dangling}")
 
@@ -167,8 +169,7 @@ def propagate_cuts(circuit: Circuit) -> list[PhotonState]:
 def detection_probs(circuit: Circuit, max_order: int = 1) -> dict[str, float]:
     """Probability collected by each detector (all sidebands included)."""
     terminal = propagate(circuit, max_order=max_order)
-    return {name: terminal.mode_prob(mode)
-            for name, mode in sorted(circuit.detectors.items())}
+    return {d: terminal.mode_prob(d) for d in sorted(circuit.detectors)}
 
 
 def backward_cuts(circuit: Circuit, detector: str) -> list[PhotonState]:
@@ -180,10 +181,9 @@ def backward_cuts(circuit: Circuit, detector: str) -> list[PhotonState]:
     on the shutter arm exactly as the forward step darkens the forward one:
     both vectors vanish behind closed shutters.
     """
-    mode = circuit.detectors.get(detector)
-    if mode is None:
+    if detector not in circuit.detectors:
         raise TopologyError(f"unknown detector {detector!r}")
-    state = PhotonState.from_sources(((mode, 1.0),))
+    state = PhotonState.from_sources(((detector, 1.0),))
     cuts = [state]
     for e in reversed(circuit.elements):
         state = apply_adjoint(state, e)
@@ -211,8 +211,7 @@ class TwoStateVector:
 def two_state_vector(circuit: Circuit, detector: str) -> TwoStateVector:
     fwd = propagate_cuts(circuit)
     bwd = backward_cuts(circuit, detector)
-    mode = circuit.detectors[detector]
-    ps = fwd[-1].amp(mode, CARRIER)
+    ps = fwd[-1].amp(detector, CARRIER)
     if abs(ps) ** 2 < POSTSELECTION_FLOOR:
         raise UndefinedPostselectionError(
             f"detector {detector} carrier probability {abs(ps) ** 2:.3e} below "
@@ -223,7 +222,7 @@ def two_state_vector(circuit: Circuit, detector: str) -> TwoStateVector:
 def _consuming_index(circuit: Circuit, arm: str) -> int:
     """First element that takes the arm in without giving it back out."""
     for k, e in enumerate(circuit.elements):
-        ins, outs, _ = e.ports()
+        ins, outs = _ports(e)
         if arm in ins and arm not in outs:
             return k
     raise TopologyError(f"arm {arm!r} is never consumed in this circuit")
@@ -293,8 +292,8 @@ def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
             raise TopologyError(f"no dephasing injection point on arm {arm!r}")
 
     def bs(key: str, in1: str, in2: str, out1: str, out2: str,
-           name: str) -> Beamsplitter:
-        return Beamsplitter.from_r2(r2[key], in1, in2, out1, out2, name)
+           name: str) -> Element:
+        return Beamsplitter(r2[key], in1, in2, out1, out2, name)
 
     def eom(site: str, arm: str, instance: int) -> list[Element]:
         if eoms is None:
@@ -330,12 +329,10 @@ def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
         *eom("open_arm", OPEN_2, 2),
         bs("inner_near", SHUTTER_2, OPEN_2, EXIT, DET1, "inner_merge_2"),
         bs("outer", EXIT, REFERENCE, DET0, DUMP_EXIT, "outer_merge"),
-        Detector(DET0, "det0"),
-        Detector(DET1, "det1"),
     ]
     open_ports = frozenset({DUMP_INNER, DUMP_EXIT, LOSS_ATT,
                             LOSS_SHUTTER_1, LOSS_SHUTTER_2})
-    circuit = Circuit(tuple(els), ((SOURCE, 1.0 + 0j),), open_ports)
+    circuit = Circuit(tuple(els), ((SOURCE, 1.0 + 0j),), open_ports, (DET0, DET1))
     validate_circuit(circuit)
     return circuit
 
@@ -379,11 +376,9 @@ def _dark_phase(a: complex, b: complex) -> float:
 def _inner_probe_amp(r2_split: float, r2_merge: float, phase: float) -> complex:
     """Merged-port amplitude of a bare two-splitter loop fed with unit light."""
     els = (
-        Beamsplitter.from_r2(r2_split, ENTRY, VAC_INNER_1, SHUTTER_1, OPEN_1,
-                             "probe_split"),
+        Beamsplitter(r2_split, ENTRY, VAC_INNER_1, SHUTTER_1, OPEN_1, "probe_split"),
         PhaseShift(OPEN_1, phase, "probe_phase"),
-        Beamsplitter.from_r2(r2_merge, SHUTTER_1, OPEN_1, LINK_1, DUMP_INNER,
-                             "probe_merge"),
+        Beamsplitter(r2_merge, SHUTTER_1, OPEN_1, LINK_1, DUMP_INNER, "probe_merge"),
     )
     c = Circuit(els, ((ENTRY, 1.0 + 0j),), frozenset({LINK_1, DUMP_INNER}))
     return propagate(c).amp(LINK_1, CARRIER)

@@ -42,8 +42,7 @@ def cmd_spectrum(args) -> int:
     cfg = _resolve_config(args)
     c = ci.build_circuit(cfg, args.preset)
     terminal = ci.propagate(c)
-    mode = c.detectors[args.detector]
-    if terminal.carrier_prob(mode) < ci.POSTSELECTION_FLOOR:
+    if terminal.carrier_prob(args.detector) < ci.POSTSELECTION_FLOOR:
         raise UndefinedPostselectionError(
             f"{args.detector} collects no carrier for preset {args.preset}; "
             "nothing to normalize a spectrum against")

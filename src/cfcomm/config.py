@@ -120,14 +120,17 @@ class DeviceConfig:
             raise ConfigError(f"attenuator_t {self.attenuator_t} outside (0, 1]")
         if self.source_raw_linewidth_ghz <= 0.0:
             raise ConfigError("source_raw_linewidth_ghz must be positive")
-        # every sideband must be resolvable from the carrier and its neighbours
-        lw = self.scan_etalon.linewidth_ghz
-        freqs = sorted({0.0} | {e.freq_ghz for e in self.eoms})
-        for lo_f, hi_f in zip(freqs, freqs[1:]):
-            if hi_f - lo_f <= lw:
-                raise ConfigError(
-                    f"modulation frequencies {lo_f} and {hi_f} GHz are closer "
-                    f"than the {lw} GHz analysis linewidth")
+        # every peak must be resolvable from every other; the scan etalon's
+        # transmission repeats every FSR, so peaks are compared on that circle
+        lw, fsr = self.scan_etalon.linewidth_ghz, self.scan_etalon.fsr_ghz
+        peaks = [0.0] + [s * e.freq_ghz for e in self.eoms for s in (1.0, -1.0)]
+        for i, a in enumerate(peaks):
+            for b in peaks[:i]:
+                gap = (a - b) % fsr
+                if min(gap, fsr - gap) <= lw:
+                    raise ConfigError(
+                        f"sideband positions {b} and {a} GHz are closer than the "
+                        f"{lw} GHz analysis linewidth modulo the {fsr} GHz scan FSR")
         if self.photon_rate_hz <= 0.0:
             raise ConfigError("photon_rate_hz must be positive")
         if self.bin_duration_s <= 0.0:

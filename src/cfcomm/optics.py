@@ -6,16 +6,18 @@ that elements act only on arms something wrote is checked once per
 circuit, by :func:`cfcomm.circuit.validate_circuit`.  A sideband tag is a
 plain tuple of ``(label, sign, instance)`` kicks, one per modulator pass the
 component has received, in order; the empty tuple is the unshifted carrier.
-Tags hash, compare and sort as tuples.  Every optical element is a small
-dataclass whose ``ports()`` give its in-ports, its out-ports and, for a
-linear element, a small port matrix ``M`` (rows: out-ports, columns:
-in-ports), the same for every sideband tag.  One routine moves amplitudes
-through it: :func:`apply_element` applies ``M`` from the in-ports to the
-out-ports, and :func:`apply_adjoint`, the step of backward evolution,
-applies ``M^H`` from the out-ports back to the in-ports.  A shutter
-(:func:`Block`) is an attenuator with transmission 0.  Only the modulator,
-which writes sideband tags forward and is the identity backward, and the
-detector, the identity both ways, have no matrix.
+Tags hash, compare and sort as tuples.  A linear element is its port map:
+a frozen :class:`Linear` of in-ports, out-ports and a small port matrix
+``m`` (rows: out-ports, columns: in-ports), built once with the element and
+the same for every sideband tag.  Splitters, phase plates, attenuators, the
+shutter (:func:`Block`, an attenuator with transmission 0) and the fold
+(:func:`Mirror`) are functions that return one.  One routine moves
+amplitudes through it: :func:`apply_element` applies ``m`` from the in-ports
+to the out-ports, and :func:`apply_adjoint`, the step of backward
+evolution, applies ``m^H`` from the out-ports back to the in-ports.  Only
+the modulator, which writes sideband tags forward and is the identity
+backward, has no matrix.  Detectors are not elements: a circuit names the
+arms it reads out after its last element.
 
 Two modelling choices live here and nowhere else:
 
@@ -42,16 +44,12 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import ConfigError
 
 #: validity limit of the first-order sideband treatment
 ALPHA_MAX = 0.5
-
-#: an element's (in-ports, out-ports, port matrix or None)
-Ports = tuple[tuple[str, ...], tuple[str, ...], Optional[tuple[tuple[complex, ...], ...]]]
-
 
 #: a component's modulator kicks, in order: (label, sign, instance) triples
 SidebandTag = tuple[tuple[str, int, int], ...]
@@ -94,10 +92,10 @@ class PhotonState:
                 yield tag, a
 
     def norm(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
+        return sum((abs(a) ** 2 for a in self.amps.values()), 0.0)
 
     def mode_prob(self, mode: str) -> float:
-        return sum(abs(a) ** 2 for (m, _), a in self.amps.items() if m == mode)
+        return sum((abs(a) ** 2 for (m, _), a in self.amps.items() if m == mode), 0.0)
 
     def carrier_prob(self, mode: str) -> float:
         return abs(self.amps.get((mode, CARRIER), 0j)) ** 2
@@ -109,8 +107,8 @@ class PhotonState:
         buckets are distinct, so cross-pass addition is incoherent by
         construction.
         """
-        return sum(abs(a) ** 2 for (m, tag), a in self.amps.items()
-                   if m == mode and any(lab == label for lab, _, _ in tag))
+        return sum((abs(a) ** 2 for (m, tag), a in self.amps.items()
+                    if m == mode and any(lab == label for lab, _, _ in tag)), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -118,74 +116,42 @@ class PhotonState:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Beamsplitter:
-    """Symmetric splitter: ``i`` on reflection, optional reflection phase.
-
-    Maps ``(in1, in2) -> (out1, out2)`` with
-    ``out1 = t in1 + i r e^{ip} in2`` and ``out2 = i r e^{-ip} in1 + t in2``,
+class Linear:
+    """A linear element is its port map: ``m`` takes the amplitudes on
+    ``ins`` to those on ``outs`` (rows: out-ports, columns: in-ports),
     identically for every sideband tag (GHz shifts are negligible against
-    the element bandwidth).
-    """
+    the element bandwidth)."""
 
-    in1: str
-    in2: str
-    out1: str
-    out2: str
-    reflect_amp: float
-    transmit_amp: float
-    phase: float = 0.0
+    ins: tuple[str, ...]
+    outs: tuple[str, ...]
+    m: tuple[tuple[complex, ...], ...]
     name: str = ""
 
-    def __post_init__(self):
-        if abs(self.reflect_amp ** 2 + self.transmit_amp ** 2 - 1.0) > 1e-12:
-            raise ConfigError(
-                f"splitter {self.name or '?'} not unitary: "
-                f"r^2 + t^2 = {self.reflect_amp ** 2 + self.transmit_amp ** 2:.15g}")
 
-    @classmethod
-    def from_r2(cls, r2: float, in1: str, in2: str, out1: str, out2: str,
-                name: str = "") -> "Beamsplitter":
-        if not 0.0 < r2 < 1.0:
-            raise ConfigError(f"splitter {name or '?'}: r^2 must be in (0, 1), got {r2}")
-        return cls(in1, in2, out1, out2, math.sqrt(r2), math.sqrt(1.0 - r2), 0.0, name)
-
-    def ports(self) -> Ports:
-        t, r = self.transmit_amp, self.reflect_amp
-        return ((self.in1, self.in2), (self.out1, self.out2),
-                ((t, 1j * r * cmath.exp(1j * self.phase)),
-                 (1j * r * cmath.exp(-1j * self.phase), t)))
+def Beamsplitter(r2: float, in1: str, in2: str, out1: str, out2: str,
+                 name: str = "") -> Linear:
+    """Symmetric splitter, ``i`` on reflection: ``out1 = t in1 + i r in2``
+    and ``out2 = i r in1 + t in2`` with ``r^2`` the intensity reflectance."""
+    if not 0.0 < r2 < 1.0:
+        raise ConfigError(f"splitter {name or '?'}: r^2 must be in (0, 1), got {r2}")
+    r, t = math.sqrt(r2), math.sqrt(1.0 - r2)
+    return Linear((in1, in2), (out1, out2), ((t, 1j * r), (1j * r, t)), name)
 
 
-@dataclass(frozen=True)
-class PhaseShift:
-    mode: str
-    radians: float
-    name: str = ""
-
-    def ports(self) -> Ports:
-        return (self.mode,), (self.mode,), ((cmath.exp(1j * self.radians),),)
+def PhaseShift(mode: str, radians: float, name: str = "") -> Linear:
+    return Linear((mode,), (mode,), ((cmath.exp(1j * radians),),), name)
 
 
-@dataclass(frozen=True)
-class Attenuator:
+def Attenuator(mode: str, amp_transmission: float, loss_mode: str) -> Linear:
     """Scales the arm by ``t`` and routes the deficit to a loss arm."""
-
-    mode: str
-    amp_transmission: float
-    loss_mode: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.amp_transmission <= 1.0:
-            raise ConfigError(
-                f"attenuator transmission must be in [0, 1], got {self.amp_transmission}")
-
-    def ports(self) -> Ports:
-        t = self.amp_transmission
-        return ((self.mode,), (self.mode, self.loss_mode),
-                ((t,), (math.sqrt(max(0.0, 1.0 - t * t)),)))
+    t = amp_transmission
+    if not 0.0 <= t <= 1.0:
+        raise ConfigError(f"attenuator transmission must be in [0, 1], got {t}")
+    return Linear((mode,), (mode, loss_mode),
+                  ((t,), (math.sqrt(max(0.0, 1.0 - t * t)),)))
 
 
-def Block(mode: str, loss_mode: str) -> Attenuator:
+def Block(mode: str, loss_mode: str) -> Linear:
     """Shutter: everything on the arm is absorbed (moved to the loss arm).
 
     The arm itself stays in place, dark, so elements after the shutter may
@@ -194,15 +160,9 @@ def Block(mode: str, loss_mode: str) -> Attenuator:
     return Attenuator(mode, 0.0, loss_mode)
 
 
-@dataclass(frozen=True)
-class Mirror:
+def Mirror(source: str, target: str) -> Linear:
     """Ideal fold: relabels one arm into another."""
-
-    source: str
-    target: str
-
-    def ports(self) -> Ports:
-        return (self.source,), (self.target,), ((1.0,),)
+    return Linear((source,), (target,), ((1.0,),))
 
 
 @dataclass(frozen=True)
@@ -224,22 +184,8 @@ class Eom:
         if self.freq_ghz <= 0.0:
             raise ConfigError(f"modulator frequency must be positive, got {self.freq_ghz}")
 
-    def ports(self) -> Ports:
-        return (self.mode,), (self.mode,), None
 
-
-@dataclass(frozen=True)
-class Detector:
-    """Counts what reaches its arm; the arm ends here, the state is kept."""
-
-    mode: str
-    name: str
-
-    def ports(self) -> Ports:
-        return (self.mode,), (), None
-
-
-Element = Union[Beamsplitter, PhaseShift, Attenuator, Eom, Mirror, Detector]
+Element = Union[Linear, Eom]
 
 
 def apply_element(state: PhotonState, e: Element, max_order: int = 1) -> PhotonState:
@@ -261,10 +207,12 @@ def apply_adjoint(state: PhotonState, e: Element) -> PhotonState:
     Modulators act as the identity there — at first order the sidebands are
     forward-generated bookkeeping and never feed back into the carrier.
     """
+    if isinstance(e, Eom):
+        return state.copy()
     return _transfer(state, e, adjoint=True)
 
 
-def _transfer(state: PhotonState, e: Element, adjoint: bool) -> PhotonState:
+def _transfer(state: PhotonState, e: Linear, adjoint: bool) -> PhotonState:
     """Apply ``M`` (ins -> outs) or, for the adjoint, ``M^H`` (outs -> ins).
 
     Where two arms feed the step, tags are visited in sorted order, so the
@@ -273,16 +221,13 @@ def _transfer(state: PhotonState, e: Element, adjoint: bool) -> PhotonState:
     on both sides of the step is updated in place; an output that comes out
     exactly zero is not stored.
     """
-    ins, outs, m = e.ports()
     out = state.copy()
-    if m is None:
-        return out
     amps = out.amps
     if adjoint:
-        src, dst = outs, ins
-        m = [[x.conjugate() for x in col] for col in zip(*m)]
+        src, dst = e.outs, e.ins
+        m = [[x.conjugate() for x in col] for col in zip(*e.m)]
     else:
-        src, dst = ins, outs
+        src, dst, m = e.ins, e.outs, e.m
     if len(src) == 1:
         tags = [tag for (mode, tag) in amps if mode == src[0]]
     else:

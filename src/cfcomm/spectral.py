@@ -33,6 +33,9 @@ POISSON_LAM_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 #: most points a scan grid may hold; keeps every point index one 32-bit
 #: SeedSequence word and the noisy path's (points, 100) replicas near 50 MB
 MAX_SCAN_POINTS = 2**16
+#: most points the side-peak search samples, 2 MHz apart: source etalons
+#: with an FSR up to about 4.2 THz, and about 8 MB per profile array
+MAX_SIDEPEAK_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,11 @@ class Etalon:
     center_offset_ghz: float = 0.0
 
     def __post_init__(self):
-        if not self.fsr_ghz > self.linewidth_ghz > 0.0:
+        # a finesse up to 1e150 keeps the Airy coefficient (2F/pi)^2 finite
+        if not (self.fsr_ghz > self.linewidth_ghz > 0.0 and self.finesse <= 1e150):
             raise ConfigError(
-                f"etalon needs fsr > linewidth > 0, got fsr={self.fsr_ghz}, "
-                f"linewidth={self.linewidth_ghz}")
+                f"etalon needs fsr > linewidth > 0 and finesse <= 1e150, got "
+                f"fsr={self.fsr_ghz}, linewidth={self.linewidth_ghz}")
 
     @property
     def finesse(self) -> float:
@@ -82,13 +86,23 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
     profile is its product with every etalon's Airy transmission.  Side
     peaks are searched from ``exclusion_ghz`` (past the central line) out
     to half the largest FSR of the stack, beyond which the pattern of
-    comb coincidences starts over.
+    comb coincidences starts over, on at most ``MAX_SIDEPEAK_POINTS``
+    points.
     """
     etalons = tuple(etalons)
     if not etalons:
         raise ConfigError("need at least one source etalon")
     if raw_linewidth_ghz <= 0.0:
         raise ConfigError("raw source linewidth must be positive")
+    window = max(e.fsr_ghz for e in etalons) / 2.0
+    if not exclusion_ghz < window <= exclusion_ghz + 0.002 * MAX_SIDEPEAK_POINTS:
+        raise ConfigError(
+            f"largest source FSR {2.0 * window} GHz out of range: the side-peak "
+            f"search from {exclusion_ghz} GHz to half of it must be non-empty "
+            f"and take at most {MAX_SIDEPEAK_POINTS} points 2 MHz apart")
+    if not 2.0 * window / raw_linewidth_ghz <= 1e150:  # keeps its square finite
+        raise ConfigError(f"raw source linewidth {raw_linewidth_ghz} GHz is too "
+                          f"narrow to evaluate out to {window} GHz")
 
     def profile(d):
         p = 1.0 / (1.0 + (2.0 * d / raw_linewidth_ghz) ** 2)
@@ -103,19 +117,17 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
         hi *= 2.0
     lo = 0.0
     # bisection on the monotone flank of the central peak; it keeps
-    # profile(lo) > half >= profile(hi), so once the midpoint rounds onto
-    # an end no further step changes either
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+    # profile(lo) > half >= profile(hi) and stops once the midpoint rounds
+    # onto an end, after which no step would change either
+    mid = 0.5 * (lo + hi)
+    while mid != lo and mid != hi:
         if profile(mid) > half:
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     fwhm = lo + hi
 
-    window = max(e.fsr_ghz for e in etalons) / 2.0
     if exclusion_ghz <= 2.0 * fwhm:
         raise ConfigError("side-peak exclusion zone must clear the central line")
     grid = np.arange(exclusion_ghz, window + 0.002, 0.002)
@@ -223,10 +235,9 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
             "outside the window", stacklevel=2)
 
     terminal = propagate(circuit)
-    det_mode = circuit.detectors.get(detector)
-    if det_mode is None:
+    if detector not in circuit.detectors:
         raise TopologyError(f"unknown detector {detector!r}")
-    comps = detector_components(terminal, det_mode, freqs)
+    comps = detector_components(terminal, detector, freqs)
 
     grid = np.arange(-n_half, n_half + 1, dtype=float) * step_ghz
     expected = np.zeros_like(grid)

@@ -13,8 +13,7 @@ from cfcomm.circuit import (Circuit, build_circuit, calibration_tuning,
                             propagate_cuts, solve_tuning, validate_circuit)
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
-from cfcomm.optics import (Attenuator, Beamsplitter, Block, Detector, Mirror,
-                           PhaseShift)
+from cfcomm.optics import Attenuator, Beamsplitter, Block, Mirror, PhaseShift
 
 import oracles
 
@@ -169,73 +168,70 @@ def test_probabilities_with_modulators_grow_by_sideband_power(bench):
 def test_detection_probs_order_is_stable(bench):
     probs = detection_probs(build_circuit(bench, "bit0"))
     assert list(probs) == ["det0", "det1"]
+    # det0 of the shuttered bench holds no component at all: a float zero
+    dark = detection_probs(build_circuit(bench, "bit1", include_eoms=False))
+    assert type(dark["det0"]) is float and dark["det0"] == 0.0
 
 
 # -- wiring validation -------------------------------------------------------
 
 def test_validate_accepts_vacuum_splitter_input():
-    c = Circuit((Beamsplitter.from_r2(0.5, "a", "vac", "c", "d"),
-                 Detector("c", "dc"), Detector("d", "dd")),
-                (("a", 1.0 + 0j),), frozenset())
+    c = Circuit((Beamsplitter(0.5, "a", "vac", "c", "d"),),
+                (("a", 1.0 + 0j),), frozenset(), ("c", "d"))
     validate_circuit(c)  # does not raise
 
 
 def test_validate_rejects_dangling_arm():
-    c = Circuit((Beamsplitter.from_r2(0.5, "a", "vac", "c", "d"),
-                 Detector("c", "dc")),
-                (("a", 1.0 + 0j),), frozenset())
+    c = Circuit((Beamsplitter(0.5, "a", "vac", "c", "d"),),
+                (("a", 1.0 + 0j),), frozenset(), ("c",))
     with pytest.raises(TopologyError, match="dangling"):
         validate_circuit(c)
 
 
 def test_validate_rejects_use_after_consumption():
-    c = Circuit((Mirror("a", "b"), PhaseShift("a", 0.1),
-                 Detector("b", "db")),
-                (("a", 1.0 + 0j),), frozenset())
+    c = Circuit((Mirror("a", "b"), PhaseShift("a", 0.1)),
+                (("a", 1.0 + 0j),), frozenset(), ("b",))
     with pytest.raises(TopologyError, match="consumed"):
         validate_circuit(c)
 
 
 def test_validate_rejects_element_on_virgin_arm():
-    c = Circuit((PhaseShift("b", 0.1), Detector("a", "da")),
-                (("a", 1.0 + 0j),), frozenset())
+    c = Circuit((PhaseShift("b", 0.1),), (("a", 1.0 + 0j),), frozenset(), ("a",))
     with pytest.raises(TopologyError, match="virgin"):
         validate_circuit(c)
 
 
-def test_validate_rejects_duplicate_detector_names():
-    c = Circuit((Beamsplitter.from_r2(0.5, "a", "vac", "c", "d"),
-                 Detector("c", "dup"), Detector("d", "dup")),
-                (("a", 1.0 + 0j),), frozenset())
-    with pytest.raises(TopologyError, match="duplicate detector"):
+@pytest.mark.parametrize("detectors,match", [
+    (("c", "d", "x"), "detector on virgin arm 'x'"),
+    (("a", "c", "d"), "detector on consumed arm 'a'"),
+], ids=["virgin", "consumed"])
+def test_validate_rejects_detector_on_dead_arm(detectors, match):
+    c = Circuit((Beamsplitter(0.5, "a", "vac", "c", "d"),),
+                (("a", 1.0 + 0j),), frozenset(), detectors)
+    with pytest.raises(TopologyError, match=match):
         validate_circuit(c)
 
 
 def test_validate_rejects_write_into_used_arm():
-    c = Circuit((Beamsplitter.from_r2(0.5, "a", "vac", "c", "a2"),
-                 Mirror("c", "a2"), Detector("a2", "da")),
-                (("a", 1.0 + 0j),), frozenset())
+    c = Circuit((Beamsplitter(0.5, "a", "vac", "c", "a2"), Mirror("c", "a2")),
+                (("a", 1.0 + 0j),), frozenset(), ("a2",))
     with pytest.raises(TopologyError, match="already-used"):
         validate_circuit(c)
 
 
-@pytest.mark.parametrize("elements,match", [
-    ((Beamsplitter.from_r2(0.5, "a", "a", "c", "d"),
-      Detector("c", "dc"), Detector("d", "dd")), "ports must differ"),
-    ((Beamsplitter.from_r2(0.5, "a", "vac", "c", "c"),
-      Detector("c", "dc")), "ports must differ"),
-    ((Mirror("a", "b"), Beamsplitter.from_r2(0.5, "a", "vac", "c", "d"),
-      Detector("b", "db"), Detector("c", "dc"), Detector("d", "dd")),
-     "consumed"),
-    ((Block("x", "loss"), Detector("a", "da")), "virgin"),
-    ((Beamsplitter.from_r2(0.5, "a", "vac", "c", "d"),
-      Attenuator("c", 0.5, "d"), Detector("c", "dc"), Detector("d", "dd")),
-     "already-used"),
-    ((Mirror("x", "b"), Detector("a", "da"), Detector("b", "db")), "virgin"),
+@pytest.mark.parametrize("elements,detectors,match", [
+    ((Beamsplitter(0.5, "a", "a", "c", "d"),), ("c", "d"), "ports must differ"),
+    ((Beamsplitter(0.5, "a", "vac", "c", "c"),), ("c",), "ports must differ"),
+    ((Mirror("a", "b"), Beamsplitter(0.5, "a", "vac", "c", "d")),
+     ("b", "c", "d"), "consumed"),
+    ((Block("x", "loss"),), ("a",), "virgin"),
+    ((Beamsplitter(0.5, "a", "vac", "c", "d"), Attenuator("c", 0.5, "d")),
+     ("c", "d"), "already-used"),
+    ((Mirror("x", "b"),), ("a", "b"), "virgin"),
 ], ids=["splitter-equal-ins", "splitter-equal-outs", "splitter-reuses-consumed",
         "shutter-on-virgin", "loss-port-into-used", "mirror-from-virgin"])
-def test_validate_rejects_miswired_elements(elements, match):
-    c = Circuit(elements, (("a", 1.0 + 0j),), frozenset({"loss"}))
+def test_validate_rejects_miswired_elements(elements, detectors, match):
+    c = Circuit(elements, (("a", 1.0 + 0j),), frozenset({"loss"}), detectors)
     with pytest.raises(TopologyError, match=match):
         validate_circuit(c)
 
@@ -244,8 +240,7 @@ def test_built_bench_passes_validation_and_reports_cuts(bench):
     for preset in circuit.PRESETS:
         c = build_circuit(bench, preset)
         validate_circuit(c)
-        assert list(c.detectors) == ["det0", "det1"]
-        assert c.detectors["det0"] == circuit.DET0
+        assert c.detectors == (circuit.DET0, circuit.DET1) == ("det0", "det1")
         cuts = propagate_cuts(c)
         assert len(cuts) >= 10  # enough stages for the invariance criterion
 

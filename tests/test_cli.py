@@ -227,6 +227,28 @@ def test_source_filter_summary(capsys):
     assert payload["sidepeak_suppression_db"] >= 20.0
 
 
+SOURCE_FILTER_OUT_OF_RANGE = {
+    "fsr-1.5": ("source_etalons", [{"fsr_ghz": 1.5, "linewidth_ghz": 0.1}]),
+    "fsr-2": ("source_etalons", [{"fsr_ghz": 2.0, "linewidth_ghz": 0.1}]),
+    "fsr-4200": ("source_etalons", [{"fsr_ghz": 4200.0, "linewidth_ghz": 0.1}]),
+    "finesse-1e600": ("source_etalons", [{"fsr_ghz": 1e300, "linewidth_ghz": 1e-300}]),
+    "finesse-1e302": ("source_etalons", [{"fsr_ghz": 100.0, "linewidth_ghz": 1e-300}]),
+    "raw-1e-300": ("source_raw_linewidth_ghz", 1e-300),
+}
+
+
+@pytest.mark.parametrize("key,value", SOURCE_FILTER_OUT_OF_RANGE.values(),
+                         ids=SOURCE_FILTER_OUT_OF_RANGE)
+def test_source_filter_out_of_range_exits_2(tmp_path, capsys, key, value):
+    """An empty or oversized side-peak window and overflowing line shapes."""
+    doc = reference_dict()
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "--config", str(bad), "source-filter")
+    assert code == 2 and stdout == "" and err.startswith("error:")
+
+
 # -- config resolution --------------------------------------------------------
 
 def test_env_config_is_honoured(tmp_path, capsys, monkeypatch, image_path):

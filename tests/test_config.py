@@ -91,3 +91,19 @@ def test_imperfections_are_read_as_floats():
     doc = with_value(reference_dict(), ("imperfections", "visibility_inner"), 1)
     value = config_from_dict(doc).imperfections.visibility_inner
     assert type(value) is float and value == 1.0
+
+
+@pytest.mark.parametrize("freq", [1.05, 4.0, 5.9, 8.0, 9.0, 13.2])
+def test_sidebands_must_be_resolvable_modulo_the_scan_fsr(freq):
+    """The scan etalon repeats every 8 GHz: a link sideband 0.05 GHz from B,
+    on its own mirror image (4.0), an FSR from A's lower sideband (5.9), on
+    the carrier (8.0), on B's upper one (9.0) or two FSRs from E's (13.2)
+    cannot be unmixed."""
+    doc = with_value(reference_dict(), ("eoms", "link", "freq_ghz"), freq)
+    with pytest.raises(ConfigError, match="analysis linewidth"):
+        config_from_dict(doc)
+
+
+def test_sidebands_apart_on_the_fsr_circle_are_accepted():
+    doc = with_value(reference_dict(), ("eoms", "link", "freq_ghz"), 5.7)
+    assert config_from_dict(doc).eom_at("link").freq_ghz == 5.7

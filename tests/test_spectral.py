@@ -142,6 +142,14 @@ def test_source_cascade_fwhm_equals_the_full_bisection(bench):
         assert rep.effective_linewidth_ghz == bisected_fwhm(etalons, raw)
 
 
+def test_source_cascade_bisects_a_narrow_raw_line_to_the_end(bench):
+    """Far below the etalon lines the FWHM is the raw one, however many
+    halvings it takes to get there."""
+    for raw in (1e-60, 1e-100, 1e-140):
+        rep = source_filter_cascade(bench.source_etalons, raw)
+        assert rep.effective_linewidth_ghz == pytest.approx(raw, rel=1e-12, abs=0.0)
+
+
 def test_source_cascade_rejects_exclusion_inside_the_line(bench):
     with pytest.raises(ConfigError, match="exclusion"):
         source_filter_cascade(bench.source_etalons,
@@ -172,7 +180,7 @@ def test_noise_free_scan_sums_components_in_order_bit_for_bit(bench):
     """Expected counts equal the scalar sum over components, in their order."""
     c = build_circuit(bench, "bit1")
     s = scan_spectrum(c, "det1", bench.scan_etalon, bench.eoms, noise=False)
-    comps = detector_components(propagate(c), c.detectors["det1"],
+    comps = detector_components(propagate(c), "det1",
                                 {e.label: e.freq_ghz for e in bench.eoms})
     fsr, lw = bench.scan_etalon.fsr_ghz, bench.scan_etalon.linewidth_ghz
     want = []
