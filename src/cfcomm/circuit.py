@@ -96,8 +96,8 @@ def _ports(e: Element) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def _label(e: Element) -> str:
-    """Element type and name, for wiring errors."""
-    return " ".join(filter(None, (type(e).__name__, getattr(e, "name", ""))))
+    """The element's name, or the modulator's tag label, for wiring errors."""
+    return f"modulator {e.label}" if isinstance(e, Eom) else e.name
 
 
 def validate_circuit(c: Circuit) -> None:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import Iterator, Mapping, Union
 
@@ -125,20 +125,20 @@ class Linear:
     ins: tuple[str, ...]
     outs: tuple[str, ...]
     m: tuple[tuple[complex, ...], ...]
-    name: str = ""
+    name: str = "linear element"
 
 
 def Beamsplitter(r2: float, in1: str, in2: str, out1: str, out2: str,
-                 name: str = "") -> Linear:
+                 name: str = "splitter") -> Linear:
     """Symmetric splitter, ``i`` on reflection: ``out1 = t in1 + i r in2``
     and ``out2 = i r in1 + t in2`` with ``r^2`` the intensity reflectance."""
     if not 0.0 < r2 < 1.0:
-        raise ConfigError(f"splitter {name or '?'}: r^2 must be in (0, 1), got {r2}")
+        raise ConfigError(f"{name}: r^2 must be in (0, 1), got {r2}")
     r, t = math.sqrt(r2), math.sqrt(1.0 - r2)
     return Linear((in1, in2), (out1, out2), ((t, 1j * r), (1j * r, t)), name)
 
 
-def PhaseShift(mode: str, radians: float, name: str = "") -> Linear:
+def PhaseShift(mode: str, radians: float, name: str = "phase plate") -> Linear:
     return Linear((mode,), (mode,), ((cmath.exp(1j * radians),),), name)
 
 
@@ -148,7 +148,7 @@ def Attenuator(mode: str, amp_transmission: float, loss_mode: str) -> Linear:
     if not 0.0 <= t <= 1.0:
         raise ConfigError(f"attenuator transmission must be in [0, 1], got {t}")
     return Linear((mode,), (mode, loss_mode),
-                  ((t,), (math.sqrt(max(0.0, 1.0 - t * t)),)))
+                  ((t,), (math.sqrt(max(0.0, 1.0 - t * t)),)), "attenuator")
 
 
 def Block(mode: str, loss_mode: str) -> Linear:
@@ -157,12 +157,12 @@ def Block(mode: str, loss_mode: str) -> Linear:
     The arm itself stays in place, dark, so elements after the shutter may
     still act on it.
     """
-    return Attenuator(mode, 0.0, loss_mode)
+    return replace(Attenuator(mode, 0.0, loss_mode), name="shutter")
 
 
 def Mirror(source: str, target: str) -> Linear:
     """Ideal fold: relabels one arm into another."""
-    return Linear((source,), (target,), ((1.0,),))
+    return Linear((source,), (target,), ((1.0,),), "mirror")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from cfcomm.circuit import (Circuit, build_circuit, calibration_tuning,
                             propagate_cuts, solve_tuning, validate_circuit)
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
-from cfcomm.optics import Attenuator, Beamsplitter, Block, Mirror, PhaseShift
+from cfcomm.optics import Attenuator, Beamsplitter, Block, Eom, Mirror, PhaseShift
 
 import oracles
 
@@ -220,16 +220,18 @@ def test_validate_rejects_write_into_used_arm():
 
 
 @pytest.mark.parametrize("elements,detectors,match", [
-    ((Beamsplitter(0.5, "a", "a", "c", "d"),), ("c", "d"), "ports must differ"),
-    ((Beamsplitter(0.5, "a", "vac", "c", "c"),), ("c",), "ports must differ"),
+    ((Beamsplitter(0.5, "a", "a", "c", "d"),), ("c", "d"), "^splitter ports must differ"),
+    ((Beamsplitter(0.5, "a", "vac", "c", "c"),), ("c",), "^splitter ports must differ"),
     ((Mirror("a", "b"), Beamsplitter(0.5, "a", "vac", "c", "d")),
-     ("b", "c", "d"), "consumed"),
-    ((Block("x", "loss"),), ("a",), "virgin"),
+     ("b", "c", "d"), "^splitter acts on consumed"),
+    ((Block("x", "loss"),), ("a",), "^shutter acts on virgin"),
     ((Beamsplitter(0.5, "a", "vac", "c", "d"), Attenuator("c", 0.5, "d")),
-     ("c", "d"), "already-used"),
-    ((Mirror("x", "b"),), ("a", "b"), "virgin"),
+     ("c", "d"), "^attenuator writes into already-used"),
+    ((Mirror("x", "b"),), ("a", "b"), "^mirror acts on virgin"),
+    ((Eom("x", "A", 1.0, 0.1),), ("a",), "^modulator A acts on virgin"),
 ], ids=["splitter-equal-ins", "splitter-equal-outs", "splitter-reuses-consumed",
-        "shutter-on-virgin", "loss-port-into-used", "mirror-from-virgin"])
+        "shutter-on-virgin", "loss-port-into-used", "mirror-from-virgin",
+        "modulator-on-virgin"])
 def test_validate_rejects_miswired_elements(elements, detectors, match):
     c = Circuit(elements, (("a", 1.0 + 0j),), frozenset({"loss"}), detectors)
     with pytest.raises(TopologyError, match=match):

@@ -2,8 +2,7 @@
 
 Run from anywhere::
 
-    python3 tools/mutants.py                 # every mutant in MUTANTS
-    python3 tools/mutants.py adjoint-no-conj # only the named ones
+    python3 tools/mutants.py
 
 Each entry of ``MUTANTS`` names a file of the package, an exact snippet
 that must occur in it once, its replacement, and the pytest node ids that
@@ -18,13 +17,12 @@ nodes.  A mutant is
   that moves the code must update the entry;
 * ``error`` when pytest cannot run the nodes (collection or usage error).
 
-The exit status is 0 only when every mutant selected is caught.  The stdlib
+The exit status is 0 only when every mutant is caught.  The stdlib
 alone is needed here; the tests need the package's test dependencies.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -144,16 +142,7 @@ def check(root: str, mutant) -> tuple[str, str]:
     return "caught", f"{len(nodes)} node(s) failed"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    known = [m[0] for m in MUTANTS]
-    unknown = sorted(set(args.names) - set(known))
-    if unknown:
-        parser.error(f"unknown mutants {unknown}; known: {known}")
-    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
-
+def main() -> int:
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="cfcomm-mutants-") as root:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -162,14 +151,14 @@ def main(argv=None) -> int:
                             ignore=skip)
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), root)
 
-        nodes = sorted({n for m in chosen for n in m[4]})
+        nodes = sorted({n for m in MUTANTS for n in m[4]})
         code, failed, out = run_nodes(root, nodes)
         if code != 0:
             print(out[-4000:])
             print(f"baseline: the unmutated tree fails {sorted(failed) or 'to run'}")
             return 1
         results = []
-        for mutant in chosen:
+        for mutant in MUTANTS:
             status, detail = check(root, mutant)
             results.append(status)
             print(f"{status:7} {mutant[0]}: {detail}", flush=True)
