@@ -15,7 +15,6 @@ why the unrolled form is the primary representation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -278,14 +277,11 @@ def sideband_strengths(report: TraceReport, cfg: DeviceConfig) -> dict[str, floa
 # --------------------------------------------------------------------------
 
 def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
-              attenuator_t: float, phase_inner_first: float,
-              phase_inner_second: float, phase_reference: float, *,
-              shutter: bool,
+              tun: Tuning, *, shutter: bool,
               extra_phases: Mapping[str, float] | None = None) -> Circuit:
-    """Unrolled element list for one pass of the folded bench.
-
-    ``eoms`` maps site -> spec (None disables all modulators).
-    """
+    """Unrolled element list for one pass of the folded bench: both inner
+    passes take ``tun.inner_phase``, and ``eoms`` maps site -> spec (None
+    disables all modulators)."""
     extra = dict(extra_phases or {})
     for arm in extra:
         if arm not in _DEPHASING_ARMS:
@@ -306,8 +302,8 @@ def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
 
     els: list[Element] = [
         bs("outer", SOURCE, VAC_ENTRY, ENTRY, REFERENCE, "outer_tap"),
-        Attenuator(REFERENCE, attenuator_t, LOSS_ATT),
-        PhaseShift(REFERENCE, phase_reference, "reference_phase"),
+        Attenuator(REFERENCE, tun.attenuator_t, LOSS_ATT),
+        PhaseShift(REFERENCE, tun.reference_phase, "reference_phase"),
         *dephase(REFERENCE),
         *eom("reference", REFERENCE, 1),
         *eom("entry", ENTRY, 1),
@@ -315,7 +311,7 @@ def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
         *dephase(SHUTTER_1),
         *([Block(SHUTTER_1, LOSS_SHUTTER_1)] if shutter else []),
         *eom("shutter_arm", SHUTTER_1, 1),
-        PhaseShift(OPEN_1, phase_inner_first, "inner_phase_1"),
+        PhaseShift(OPEN_1, tun.inner_phase, "inner_phase_1"),
         *eom("open_arm", OPEN_1, 1),
         bs("inner_far", SHUTTER_1, OPEN_1, LINK_1, DUMP_INNER, "inner_merge_1"),
         *eom("link", LINK_1, 1),
@@ -325,7 +321,7 @@ def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
         *dephase(SHUTTER_2),
         *([Block(SHUTTER_2, LOSS_SHUTTER_2)] if shutter else []),
         *eom("shutter_arm", SHUTTER_2, 2),
-        PhaseShift(OPEN_2, phase_inner_second, "inner_phase_2"),
+        PhaseShift(OPEN_2, tun.inner_phase, "inner_phase_2"),
         *eom("open_arm", OPEN_2, 2),
         bs("inner_near", SHUTTER_2, OPEN_2, EXIT, DET1, "inner_merge_2"),
         bs("outer", EXIT, REFERENCE, DET0, DUMP_EXIT, "outer_merge"),
@@ -351,97 +347,45 @@ def _eom_table(cfg: DeviceConfig) -> dict[str, EomSpec]:
 
 @dataclass(frozen=True)
 class Tuning:
-    """Solved knob settings: attenuation and the three unrolled phases."""
+    """Knob settings: attenuation, one phase for both inner passes, reference phase."""
 
     attenuator_t: float
-    phase_inner_first: float
-    phase_inner_second: float
-    phase_reference: float
-
-
-def _two_probe(f) -> tuple[complex, complex]:
-    """Split an affine response ``f(phi) = a + b e^{i phi}`` into (a, b)."""
-    z0 = f(0.0)
-    zpi = f(math.pi)
-    return (z0 + zpi) / 2.0, (z0 - zpi) / 2.0
-
-
-def _dark_phase(a: complex, b: complex) -> float:
-    """Phase minimizing ``|a + b e^{i phi}|`` (0 when there is no fringe)."""
-    if abs(a) == 0.0 or abs(b) == 0.0:
-        return 0.0
-    return cmath.phase(-a * b.conjugate())
-
-
-def _inner_probe_amp(r2_split: float, r2_merge: float, phase: float) -> complex:
-    """Merged-port amplitude of a bare two-splitter loop fed with unit light."""
-    els = (
-        Beamsplitter(r2_split, ENTRY, VAC_INNER_1, SHUTTER_1, OPEN_1, "probe_split"),
-        PhaseShift(OPEN_1, phase, "probe_phase"),
-        Beamsplitter(r2_merge, SHUTTER_1, OPEN_1, LINK_1, DUMP_INNER, "probe_merge"),
-    )
-    c = Circuit(els, ((ENTRY, 1.0 + 0j),), frozenset({LINK_1, DUMP_INNER}))
-    return propagate(c).amp(LINK_1, CARRIER)
-
-
-def _det0_amp(cfg: DeviceConfig, t: float, ph1: float, ph2: float,
-              ph3: float, *, shutter: bool) -> complex:
-    c = _assemble(_r2_table(cfg), None, t, ph1, ph2, ph3, shutter=shutter)
-    return propagate(c).amp(DET0, CARRIER)
+    inner_phase: float
+    reference_phase: float
 
 
 @lru_cache(maxsize=RESULT_CACHE_SIZE)
 def solve_tuning(cfg: DeviceConfig) -> Tuning:
     """Operational settings: inner loop dark, shuttered bench dark at det0.
 
-    Both inner passes are set to their dark fringe first.  The reference
-    attenuation and phase then cancel, at the final merge, what the shuttered
-    bench still leaks into det0: the det0 amplitude is affine in
-    ``t e^{i phase}``, so two probe evaluations give the exact root.  No
-    root in (0, 1] means the bench cannot be balanced at these reflectances.
+    In closed form, with ``i`` on reflection.  Each inner pass carries
+    ``t_a t_b - r_a r_b e^{i phi}`` to its merged port, so its dark phase is
+    0 exactly.  With both shutters closed, only the all-reflected inner
+    route reaches det0, with amplitude ``t_o^2 r_n^2 r_f^2``, against
+    ``-r_o^2 t e^{i phi}`` from the reference arm: the reference phase is 0
+    too, and the balancing attenuation is
+    ``t = (1 - r_o^2) / r_o^2 * r_n^2 * r_f^2``.  A numeric
+    ``attenuator_t`` is kept as it is.  No ``t`` in (0, 1] means the bench
+    cannot be balanced at these reflectances.
     """
-    r2 = _r2_table(cfg)
-    ph1 = _dark_phase(*_two_probe(
-        lambda p: _inner_probe_amp(r2["inner_near"], r2["inner_far"], p)))
-    ph2 = _dark_phase(*_two_probe(
-        lambda p: _inner_probe_amp(r2["inner_far"], r2["inner_near"], p)))
-
-    if cfg.attenuator_t == "auto":
-        z0 = _det0_amp(cfg, 0.0, ph1, ph2, 0.0, shutter=True)
-        z1 = _det0_amp(cfg, 1.0, ph1, ph2, 0.0, shutter=True)
-        if z1 == z0:
-            raise ConfigError("reference arm does not reach det0; cannot balance")
-        w = -z0 / (z1 - z0)
-        t, ph3 = abs(w), cmath.phase(w)
-        if not 0.0 < t <= 1.0:
-            raise ConfigError(
-                f"no balancing attenuation in (0, 1]: would need t = {t:.6g}")
-        residual = abs(_det0_amp(cfg, t, ph1, ph2, ph3, shutter=True))
-        if residual > 1e-10:
-            raise ConfigError(
-                f"balance solve left det0 amplitude {residual:.3e} on the "
-                "shuttered bench")
-    else:
-        t = float(cfg.attenuator_t)
-        ph3 = _dark_phase(*_two_probe(
-            lambda p: _det0_amp(cfg, t, ph1, ph2, p, shutter=True)))
-    return Tuning(t, ph1, ph2, ph3)
+    if cfg.attenuator_t != "auto":
+        return Tuning(float(cfg.attenuator_t), 0.0, 0.0)
+    r2o = cfg.r2("outer")
+    t = (1.0 - r2o) / r2o * cfg.r2("inner_near") * cfg.r2("inner_far")
+    if not 0.0 < t <= 1.0:
+        raise ConfigError(
+            f"no balancing attenuation in (0, 1]: would need t = {t:.6g}")
+    return Tuning(t, 0.0, 0.0)
 
 
 @lru_cache(maxsize=RESULT_CACHE_SIZE)
 def calibration_tuning(cfg: DeviceConfig) -> Tuning:
-    """All-bright settings: inner passes on the bright fringe, det0 maximal.
+    """All-bright settings: every phase at pi, the operational attenuation.
 
-    Keeps the operational attenuation so calibration and operation share the
-    same reference power.
+    Each inner pass then carries ``t_a t_b + r_a r_b``, and the reference arm
+    adds ``r_o^2 t`` to the inner route's positive det0 amplitude.
     """
-    op = solve_tuning(cfg)
-    ph1 = op.phase_inner_first + math.pi
-    ph2 = op.phase_inner_second + math.pi
-    a, b = _two_probe(
-        lambda p: _det0_amp(cfg, op.attenuator_t, ph1, ph2, p, shutter=False))
-    ph3 = _dark_phase(-a, b)  # the bright fringe of a + b e^{i phi}
-    return Tuning(op.attenuator_t, ph1, ph2, ph3)
+    return Tuning(solve_tuning(cfg).attenuator_t, math.pi, math.pi)
 
 
 def preset_tuning(cfg: DeviceConfig, preset: str) -> Tuning:
@@ -453,11 +397,9 @@ def preset_tuning(cfg: DeviceConfig, preset: str) -> Tuning:
 def build_circuit(cfg: DeviceConfig, preset: str, *, include_eoms: bool = True,
                   extra_phases: Mapping[str, float] | None = None) -> Circuit:
     """The unrolled bench for one preset: 'bit0', 'bit1' or 'calibration'."""
-    tun = preset_tuning(cfg, preset)
     return _assemble(_r2_table(cfg), _eom_table(cfg) if include_eoms else None,
-                     tun.attenuator_t, tun.phase_inner_first,
-                     tun.phase_inner_second, tun.phase_reference,
-                     shutter=(preset == "bit1"), extra_phases=extra_phases)
+                     preset_tuning(cfg, preset), shutter=(preset == "bit1"),
+                     extra_phases=extra_phases)
 
 
 # --------------------------------------------------------------------------
@@ -495,26 +437,17 @@ class FoldedDevice:
 
     @classmethod
     def from_config(cls, cfg: DeviceConfig, preset: str) -> "FoldedDevice":
-        """Tune the physical bench for a preset.
-
-        The folded bench has a single inner phase knob, so the two unrolled
-        inner phases the tuning solve produces must agree; with the shared
-        splitters they do to rounding.
-        """
+        """Tune the physical bench for a preset: one inner phase serves both
+        passes."""
         tun = preset_tuning(cfg, preset)
-        if abs(tun.phase_inner_first - tun.phase_inner_second) > 1e-9:
-            raise ConfigError(
-                "inner passes need different phases "
-                f"({tun.phase_inner_first!r} vs {tun.phase_inner_second!r}); "
-                "not realizable with one folded knob")
         return cls(
             outer_r2=cfg.r2("outer"),
             inner_near_r2=cfg.r2("inner_near"),
             inner_far_r2=cfg.r2("inner_far"),
             eoms=tuple(cfg.eom_at(site) for site in EOM_SITES),
             attenuator_t=tun.attenuator_t,
-            inner_phase=tun.phase_inner_first,
-            reference_phase=tun.phase_reference,
+            inner_phase=tun.inner_phase,
+            reference_phase=tun.reference_phase,
             shutter_closed=(preset == "bit1"),
         )
 
@@ -524,6 +457,6 @@ def expand_folded(dev: FoldedDevice, *, include_eoms: bool = True) -> Circuit:
     r2 = {"outer": dev.outer_r2, "inner_near": dev.inner_near_r2,
           "inner_far": dev.inner_far_r2}
     eoms = {e.site: e for e in dev.eoms} if include_eoms else None
-    return _assemble(r2, eoms, dev.attenuator_t, dev.inner_phase,
-                     dev.inner_phase, dev.reference_phase,
+    return _assemble(r2, eoms, Tuning(dev.attenuator_t, dev.inner_phase,
+                                      dev.reference_phase),
                      shutter=dev.shutter_closed)

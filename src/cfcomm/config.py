@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .errors import ConfigError
@@ -178,20 +178,28 @@ def _real(value, name: str) -> float:
     return x
 
 
+def _known_keys(obj: dict, known, where: str) -> None:
+    """Refuse keys nothing reads: a misspelled one would keep its default."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+
+
 def _parse_etalon(obj) -> Etalon:
     try:
-        return Etalon(fsr_ghz=_real(obj["fsr_ghz"], "fsr_ghz"),
-                      linewidth_ghz=_real(obj["linewidth_ghz"], "linewidth_ghz"),
-                      center_offset_ghz=_real(obj.get("center_offset_ghz", 0.0),
-                                              "center_offset_ghz"))
+        etalon = Etalon(fsr_ghz=_real(obj["fsr_ghz"], "fsr_ghz"),
+                        linewidth_ghz=_real(obj["linewidth_ghz"], "linewidth_ghz"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed etalon entry {obj!r}: {exc}") from None
+    _known_keys(obj, ("fsr_ghz", "linewidth_ghz"), "etalon entry")
+    return etalon
 
 
 def config_from_dict(raw: dict) -> DeviceConfig:
     """Build and validate a :class:`DeviceConfig` from parsed JSON."""
     if not isinstance(raw, dict):
         raise ConfigError("device config must be a JSON object")
+    _known_keys(raw, [f.name for f in fields(DeviceConfig)], "device config")
     try:
         eoms_raw = raw["eoms"]
         eoms = tuple(
@@ -199,6 +207,8 @@ def config_from_dict(raw: dict) -> DeviceConfig:
                     freq_ghz=_real(spec["freq_ghz"], "freq_ghz"),
                     alpha=_real(spec["alpha"], "alpha"))
             for site, spec in sorted(eoms_raw.items()))
+        for site, spec in eoms_raw.items():
+            _known_keys(spec, ("label", "freq_ghz", "alpha"), f"modulator {site!r}")
         bs = raw.get("beamsplitter_r2", 0.5)
         if isinstance(bs, dict):
             bs = tuple(sorted((str(k), _real(v, "beamsplitter_r2"))
@@ -234,12 +244,12 @@ def config_from_dict(raw: dict) -> DeviceConfig:
 def load_config(path) -> DeviceConfig:
     """Read a device config from a JSON file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from None
     return config_from_dict(raw)
 
 

@@ -366,8 +366,8 @@ class Bitmap:
 
 def read_pbm(path) -> Bitmap:
     """Read a plain (P1) bitmap; digits may be packed without whitespace."""
-    try:
-        with open(path) as fh:
+    try:  # bytes that are not UTF-8 read as U+FFFD: a raw P4 file is refused
+        with open(path, encoding="utf-8", errors="replace") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read bitmap {path}: {exc}") from None

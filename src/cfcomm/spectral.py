@@ -44,7 +44,6 @@ class Etalon:
 
     fsr_ghz: float
     linewidth_ghz: float
-    center_offset_ghz: float = 0.0
 
     def __post_init__(self):
         # a finesse up to 1e150 keeps the Airy coefficient (2F/pi)^2 finite
@@ -60,7 +59,7 @@ class Etalon:
     def transmission(self, detuning_ghz: float | np.ndarray) -> float | np.ndarray:
         """Airy transmission T(d) = 1 / (1 + (2F/pi)^2 sin^2(pi d / FSR)),
         of a float or elementwise of an array."""
-        s = np.sin(math.pi * (detuning_ghz - self.center_offset_ghz) / self.fsr_ghz)
+        s = np.sin(math.pi * detuning_ghz / self.fsr_ghz)
         return 1.0 / (1.0 + (2.0 * self.finesse / math.pi) ** 2 * s * s)
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from cfcomm import circuit
-from cfcomm.circuit import (Circuit, build_circuit, calibration_tuning,
+from cfcomm.circuit import (Circuit, Tuning, build_circuit, calibration_tuning,
                             detection_probs, preset_tuning, propagate,
                             propagate_cuts, solve_tuning, validate_circuit)
 from cfcomm.config import reference_device
@@ -32,19 +32,12 @@ def with_r2(cfg, **r2):
 # -- tuning solve ----------------------------------------------------------
 
 def test_reference_tuning_is_exact(bench):
-    tun = solve_tuning(bench)
-    assert tun.attenuator_t == pytest.approx(0.25, abs=1e-12)
-    assert tun.phase_inner_first == pytest.approx(0.0, abs=1e-12)
-    assert tun.phase_inner_second == pytest.approx(0.0, abs=1e-12)
-    assert tun.phase_reference == pytest.approx(0.0, abs=1e-12)
+    assert solve_tuning(bench) == Tuning(0.25, 0.0, 0.0)
 
 
 def test_calibration_tuning_flips_to_bright(bench):
     op = solve_tuning(bench)
-    cal = calibration_tuning(bench)
-    assert cal.attenuator_t == op.attenuator_t
-    assert cal.phase_inner_first == pytest.approx(op.phase_inner_first + math.pi)
-    assert cal.phase_inner_second == pytest.approx(op.phase_inner_second + math.pi)
+    assert calibration_tuning(bench) == Tuning(op.attenuator_t, math.pi, math.pi)
 
 
 def test_result_caches_stay_bounded_over_fresh_configs(bench):
@@ -65,23 +58,84 @@ def test_tuning_matches_closed_form_at_uneven_split(bench):
     assert tun.attenuator_t == pytest.approx(want, abs=1e-12)
 
 
-@given(r2o=st.floats(0.2, 0.8), r2n=st.floats(0.2, 0.8), r2f=st.floats(0.2, 0.8))
-@settings(max_examples=20, deadline=None)
-def test_tuning_solve_tracks_closed_form(bench, r2o, r2n, r2f):
-    cfg = with_r2(bench, outer=r2o, inner_near=r2n, inner_far=r2f)
+def assemble(cfg, tun, *, shutter):
+    return circuit._assemble(circuit._r2_table(cfg), None, tun, shutter=shutter)
+
+
+def carrier_before_consumed(c, arm):
+    """Carrier probability on an arm at the cut where it is consumed."""
+    k = circuit._consuming_index(c, arm)
+    return propagate_cuts(c)[k].carrier_prob(arm)
+
+
+ASYMMETRIC_R2 = st.floats(0.05, 0.95)
+
+
+def balanceable(bench, r2o, r2n, r2f):
+    """The bench at these reflectances; skips those that cannot be balanced."""
     want = oracles.balance_attenuator_t(r2o, r2n, r2f, r2f, r2n, r2o)
     assume(0.0 < want <= 1.0)  # otherwise legitimately unbalanceable
+    return with_r2(bench, outer=r2o, inner_near=r2n, inner_far=r2f), want
+
+
+@given(r2o=ASYMMETRIC_R2, r2n=ASYMMETRIC_R2, r2f=ASYMMETRIC_R2)
+@settings(max_examples=30, deadline=None)
+def test_tuning_solve_tracks_closed_form(bench, r2o, r2n, r2f):
+    cfg, want = balanceable(bench, r2o, r2n, r2f)
     tun = solve_tuning(cfg)
     assert tun.attenuator_t == pytest.approx(want, abs=1e-10)
     probs = detection_probs(build_circuit(cfg, "bit1", include_eoms=False))
     assert probs["det0"] <= 1e-20
 
 
+@given(r2o=ASYMMETRIC_R2, r2n=ASYMMETRIC_R2, r2f=ASYMMETRIC_R2)
+@settings(max_examples=30, deadline=None)
+def test_inner_phase_sits_on_the_dark_fringe(bench, r2o, r2n, r2f):
+    """Off phase 0, more light leaves each inner pass by its merged port:
+    the link after the first pass, the exit after the second."""
+    cfg, _ = balanceable(bench, r2o, r2n, r2f)
+    tun = solve_tuning(cfg)
+    dark = assemble(cfg, tun, shutter=False)
+    for eps in (-0.1, 0.1):
+        off = assemble(cfg, dataclasses.replace(tun, inner_phase=tun.inner_phase + eps),
+                       shutter=False)
+        for arm in (circuit.LINK_1, circuit.EXIT):
+            assert carrier_before_consumed(off, arm) > carrier_before_consumed(dark, arm)
+
+
+@given(r2o=ASYMMETRIC_R2, r2n=ASYMMETRIC_R2, r2f=ASYMMETRIC_R2,
+       t=st.floats(0.05, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_reference_phase_darkens_det0_at_any_fixed_attenuation(bench, r2o, r2n,
+                                                               r2f, t):
+    cfg = dataclasses.replace(
+        with_r2(bench, outer=r2o, inner_near=r2n, inner_far=r2f), attenuator_t=t)
+    tun = solve_tuning(cfg)
+    assert tun == Tuning(t, 0.0, 0.0)
+    dark = detection_probs(assemble(cfg, tun, shutter=True))["det0"]
+    for eps in (-0.1, 0.1):
+        off = assemble(cfg, dataclasses.replace(
+            tun, reference_phase=tun.reference_phase + eps), shutter=True)
+        assert detection_probs(off)["det0"] > dark
+
+
+@given(r2o=ASYMMETRIC_R2, r2n=ASYMMETRIC_R2, r2f=ASYMMETRIC_R2)
+@settings(max_examples=30, deadline=None)
+def test_calibration_phases_maximize_det0(bench, r2o, r2n, r2f):
+    cfg, _ = balanceable(bench, r2o, r2n, r2f)
+    cal = calibration_tuning(cfg)
+    bright = detection_probs(assemble(cfg, cal, shutter=False))["det0"]
+    for knob in ("inner_phase", "reference_phase"):
+        for eps in (-0.1, 0.1):
+            off = dataclasses.replace(cal, **{knob: math.pi + eps})
+            assert detection_probs(assemble(cfg, off, shutter=False))["det0"] < bright
+
+
 def test_unbalanceable_bench_is_rejected(bench):
     # nearly-transparent outer taps against highly reflective inner loops:
     # the reference arm is far too weak to cancel the leak
     cfg = with_r2(bench, outer=0.02, inner_near=0.9, inner_far=0.9)
-    with pytest.raises(ConfigError, match="balanc"):
+    with pytest.raises(ConfigError, match="no balancing attenuation"):
         solve_tuning(cfg)
 
 
@@ -94,10 +148,8 @@ def test_numeric_attenuator_is_kept_and_phase_still_darkens(bench):
     probs = detection_probs(build_circuit(cfg, "bit1", include_eoms=False))
     assert probs["det0"] > 1e-6
     for eps in (-0.1, 0.1):
-        worse = circuit._assemble(
-            circuit._r2_table(cfg), None, tun.attenuator_t,
-            tun.phase_inner_first, tun.phase_inner_second,
-            tun.phase_reference + eps, shutter=True)
+        worse = assemble(cfg, dataclasses.replace(
+            tun, reference_phase=tun.reference_phase + eps), shutter=True)
         assert detection_probs(worse)["det0"] > probs["det0"]
 
 
@@ -146,10 +198,8 @@ def test_calibration_probability(bench):
 
 def test_mistuned_inner_phase_leaks(bench):
     tun = solve_tuning(bench)
-    bad = circuit._assemble(
-        circuit._r2_table(bench), None, tun.attenuator_t,
-        tun.phase_inner_first + 0.3, tun.phase_inner_second,
-        tun.phase_reference, shutter=False)
+    bad = assemble(bench, dataclasses.replace(tun, inner_phase=tun.inner_phase + 0.3),
+                   shutter=False)
     assert detection_probs(bad)["det1"] > 1e-4
 
 

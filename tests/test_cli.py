@@ -281,6 +281,36 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("path", [("attenuatr_t",), ("scan_etalon", "centre_offset_ghz")],
+                         ids=lambda p: p[-1])
+def test_misspelled_config_key_exits_2(tmp_path, capsys, path):
+    """A misspelled key would leave its default in place without a word."""
+    doc = reference_dict()
+    node = doc if len(path) == 1 else doc[path[0]]
+    node[path[-1]] = 0.4
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "--config", str(bad), "trace", "--preset",
+                            "bit1", "--detector", "det1")
+    assert code == 2 and stdout == "" and path[-1] in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(json.dumps(reference_dict()).encode()[:-1] + b', "\xff": 1}')
+    code, stdout, err = run(capsys, "--config", str(bad), "source-filter")
+    assert code == 2 and stdout == "" and "UTF-8" in err
+
+
+def test_raw_bitmap_exits_2(tmp_path, capsys):
+    """A raw (P4) bitmap is binary: refused as not plain, never decoded."""
+    raw = tmp_path / "raw.pbm"
+    raw.write_bytes(b"P4\n2 2\n\xff\xfe")
+    code, stdout, err = run(capsys, "send-image", "--image", str(raw),
+                            "--out", str(tmp_path / "o.pbm"))
+    assert code == 2 and stdout == "" and "not a plain P1 bitmap" in err
+
+
 def test_non_finite_config_value_exits_2(tmp_path, capsys, image_path):
     doc = reference_dict()
     doc["photon_rate_hz"] = float("nan")

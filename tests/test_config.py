@@ -15,12 +15,19 @@ FLOAT_FIELDS = [
     ("eoms", "open_arm", "freq_ghz"), ("eoms", "open_arm", "alpha"),
     ("beamsplitter_r2",), ("attenuator_t",),
     ("source_etalons", 0, "fsr_ghz"), ("source_etalons", 0, "linewidth_ghz"),
-    ("source_etalons", 0, "center_offset_ghz"),
     ("scan_etalon", "fsr_ghz"), ("scan_etalon", "linewidth_ghz"),
-    ("scan_etalon", "center_offset_ghz"), ("source_raw_linewidth_ghz",),
+    ("source_raw_linewidth_ghz",),
     ("imperfections", "visibility_inner"), ("imperfections", "visibility_outer"),
     ("imperfections", "dark_rate"), ("imperfections", "heralding_efficiency"),
     ("photon_rate_hz",), ("bin_duration_s",),
+]
+
+#: keys nothing reads: misspellings, and the centre offset etalons no longer
+#: have; each is refused whatever its value
+UNKNOWN_KEYS = [
+    ("attenuatr_t",), ("scan_etalon", "centre_offset_ghz"),
+    ("source_etalons", 0, "center_offset_ghz"), ("scan_etalon", "center_offset_ghz"),
+    ("eoms", "link", "freq"), ("eoms", "open_arm", "site"),
 ]
 
 MALFORMED = (
@@ -35,6 +42,8 @@ MALFORMED = (
     + [(path, bad) for path in FLOAT_FIELDS for bad in (True, False)]
     + [(path, "0.5") for path in FLOAT_FIELDS if path[0] == "imperfections"]
     + [(("imperfections", "contrast"), 0.5), (("imperfections",), [0.5])]
+    + [(path, value) for path in UNKNOWN_KEYS
+       for value in (0.0, 0.5, math.nan, math.inf, -math.inf, True, False)]
     # labels name peaks in the output: JSON strings only, never str(value)
     + [(("eoms", "link", "label"), bad) for bad in (None, 5, ["A"], True)]
 )
@@ -54,6 +63,13 @@ def with_value(doc: dict, path: tuple, value) -> dict:
 def test_malformed_config_is_rejected(path, value):
     doc = with_value(reference_dict(), path, value)
     with pytest.raises(ConfigError):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("path", UNKNOWN_KEYS, ids=lambda p: ".".join(map(str, p)))
+def test_unknown_key_is_named(path):
+    doc = with_value(reference_dict(), path, 0.5)
+    with pytest.raises(ConfigError, match=f"unknown key.*'{path[-1]}'"):
         config_from_dict(doc)
 
 

@@ -45,12 +45,6 @@ def test_etalon_peak_and_periodicity():
     assert e.transmission(0.05) == pytest.approx(0.5, rel=1e-3)  # half width
 
 
-def test_etalon_center_offset_shifts_the_comb():
-    e = Etalon(8.0, 0.1, center_offset_ghz=1.3)
-    assert e.transmission(1.3) == 1.0
-    assert e.transmission(0.0) < 0.01
-
-
 @given(d=st.floats(-60.0, 60.0))
 def test_etalon_matches_airy_formula(d):
     e = Etalon(22.0, 0.315)

@@ -34,6 +34,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 OPTICS = "src/cfcomm/optics.py"
 CIRCUIT = "src/cfcomm/circuit.py"
+CONFIG = "src/cfcomm/config.py"
+SPECTRAL = "src/cfcomm/spectral.py"
+CLI_TESTS = "tests/test_cli.py::"
+CONFIG_TESTS = "tests/test_config.py::"
 
 #: (name, file, snippet, replacement, node ids that must fail)
 MUTANTS = (
@@ -89,18 +93,81 @@ MUTANTS = (
      '"buffer_pos": 3,',
      ("tests/test_rand.py::test_point_poisson_equals_per_point_substreams[None-0]",
       "tests/test_rand.py::test_point_poisson_equals_per_point_substreams[100-0]")),
-    ("airy-approximate-sin", "src/cfcomm/spectral.py",
-     "s = np.sin(math.pi * (detuning_ghz - self.center_offset_ghz) / self.fsr_ghz)",
-     "x = math.pi * (detuning_ghz - self.center_offset_ghz) / self.fsr_ghz\n"
+    ("airy-approximate-sin", SPECTRAL,
+     "s = np.sin(math.pi * detuning_ghz / self.fsr_ghz)",
+     "x = math.pi * detuning_ghz / self.fsr_ghz\n"
      "        s = x - x ** 3 / 6.0",
      ("tests/test_spectral.py::test_etalon_matches_airy_formula",
       "tests/test_spectral.py::test_etalon_peak_and_periodicity")),
-    ("cascade-order-reversed", "src/cfcomm/spectral.py",
+    ("cascade-order-reversed", SPECTRAL,
      "for e in etalons:\n            p *= e.transmission(d)",
      "for e in reversed(etalons):\n            p *= e.transmission(d)",
      # the product's rounding depends on its order: stacks of up to four
      # etalons against a fixed-order oracle see it
      ("tests/test_spectral.py::test_source_cascade_fwhm_equals_the_full_bisection",)),
+    ("tuning-outer-ratio-inverted", CIRCUIT,
+     't = (1.0 - r2o) / r2o * cfg.r2("inner_near")',
+     't = r2o / (1.0 - r2o) * cfg.r2("inner_near")',
+     # the packaged 50/50 benches cannot tell the ratio from its inverse
+     ("tests/test_circuit.py::test_tuning_matches_closed_form_at_uneven_split",
+      "tests/test_circuit.py::test_unbalanceable_bench_is_rejected")),
+    ("calibration-reference-phase-0", CIRCUIT,
+     "return Tuning(solve_tuning(cfg).attenuator_t, math.pi, math.pi)",
+     "return Tuning(solve_tuning(cfg).attenuator_t, math.pi, 0.0)",
+     ("tests/test_circuit.py::test_calibration_tuning_flips_to_bright",
+      "tests/test_circuit.py::test_calibration_phases_maximize_det0",
+      "tests/test_circuit.py::test_calibration_probability")),
+    ("unknown-keys-accepted", CONFIG,
+     "    if unknown:\n",
+     "    if False:\n",
+     (CLI_TESTS + "test_misspelled_config_key_exits_2[attenuatr_t]",
+      CLI_TESTS + "test_misspelled_config_key_exits_2[centre_offset_ghz]",
+      CONFIG_TESTS + "test_unknown_key_is_named[attenuatr_t]")),
+    ("modulator-keys-unchecked", CONFIG,
+     '_known_keys(spec, ("label", "freq_ghz", "alpha"), f"modulator {site!r}")',
+     "pass",
+     (CONFIG_TESTS + "test_unknown_key_is_named[eoms.link.freq]",
+      CONFIG_TESTS + "test_unknown_key_is_named[eoms.open_arm.site]")),
+    ("etalon-keys-unchecked", CONFIG,
+     '    _known_keys(obj, ("fsr_ghz", "linewidth_ghz"), "etalon entry")\n',
+     "",
+     (CLI_TESTS + "test_misspelled_config_key_exits_2[centre_offset_ghz]",
+      CONFIG_TESTS + "test_unknown_key_is_named[scan_etalon.center_offset_ghz]",
+      CONFIG_TESTS + "test_unknown_key_is_named[source_etalons.0.center_offset_ghz]")),
+    ("config-decode-error-unmapped", CONFIG,
+     "except (json.JSONDecodeError, UnicodeDecodeError) as exc:",
+     "except json.JSONDecodeError as exc:",
+     (CLI_TESTS + "test_non_utf8_config_exits_2",)),
+    ("bitmap-strict-decode", "src/cfcomm/protocol.py",
+     'encoding="utf-8", errors="replace"',
+     'encoding="utf-8"',
+     (CLI_TESTS + "test_raw_bitmap_exits_2",)),
+    ("real-takes-bools", CONFIG,
+     "if isinstance(value, bool) or not isinstance(value, (int, float)):",
+     "if not isinstance(value, (int, float)):",
+     (CONFIG_TESTS + "test_malformed_config_is_rejected[photon_rate_hz=True]",
+      CONFIG_TESTS + "test_malformed_config_is_rejected[attenuator_t=True]",
+      CONFIG_TESTS + "test_malformed_config_is_rejected[imperfections.visibility_inner=True]")),
+    ("config-no-seed-check", CONFIG,
+     "        check_seed(self.seed)\n",
+     "",
+     (CONFIG_TESTS + "test_seed_range_holds_without_json[-1]",
+      CONFIG_TESTS + "test_seed_range_holds_without_json[18446744073709551616]",
+      CONFIG_TESTS + "test_seed_range_holds_without_json[1.5]")),
+    ("scan-no-seed-check", SPECTRAL,
+     "    check_seed(seed)  # noise-free scans too: one seed range everywhere\n",
+     "",
+     (CLI_TESTS + "test_seed_outside_0_to_2_64_exits_2[-1]",
+      CLI_TESTS + "test_seed_outside_0_to_2_64_exits_2[18446744073709551616]")),
+    ("scan-stderr-ddof-0", SPECTRAL,
+     "axis=1, ddof=1)",
+     "axis=1, ddof=0)",
+     ("tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1]",
+      "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[5-37]")),
+    ("no-poisson-limit", SPECTRAL,
+     "if expected.max() > POISSON_LAM_MAX:",
+     "if False:",
+     (CLI_TESTS + "test_malformed_flags_and_unwritable_paths_exit_2[photons 1e300]",)),
 )
 
 
