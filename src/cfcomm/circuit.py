@@ -11,6 +11,12 @@ ordered tuple of elements.  The fold is represented by
 :class:`FoldedDevice`, whose :func:`expand_folded` must reproduce the
 unrolled wiring element for element; keeping that equivalence testable is
 why the unrolled form is the primary representation.
+
+Each circuit is built once per config, preset, modulator choice and extra
+phases, and propagated once per sideband order: :func:`build_circuit` hands
+every caller the same frozen circuit, and :func:`propagate` hands out copies
+of one shared terminal state, which equal circuits (such as the folded twin)
+share too.
 """
 
 from __future__ import annotations
@@ -66,8 +72,10 @@ PRESETS = ("bit0", "bit1", "calibration")
 #: a postselection on less carrier probability than this is ill-defined
 POSTSELECTION_FLOOR = 1e-14
 
-#: entries per config-keyed result cache: a bench uses at most three, so a
-#: stream of fresh configs keeps the recent ones and a bounded memory
+#: entries per result cache: tunings and sector tables take at most three
+#: per bench, built circuits and terminal states 18 in a full commission
+#: (six phase-free circuits, twelve dephasing probes), so a stream of fresh
+#: configs keeps the last few benches and a bounded memory
 RESULT_CACHE_SIZE = 64
 
 #: arms where a slow dephasing phase may be injected
@@ -148,7 +156,14 @@ def validate_circuit(c: Circuit) -> None:
 # --------------------------------------------------------------------------
 
 def propagate(circuit: Circuit, max_order: int = 1) -> PhotonState:
-    """Terminal state after every element."""
+    """Terminal state after every element: a copy of the one shared result
+    per circuit and order, so a caller may change it freely."""
+    return _terminal(circuit, max_order).copy()
+
+
+@lru_cache(maxsize=RESULT_CACHE_SIZE)
+def _terminal(circuit: Circuit, max_order: int) -> PhotonState:
+    """Keyed positionally, so every spelling of one call shares an entry."""
     state = PhotonState.from_sources(circuit.sources)
     for e in circuit.elements:
         state = apply_element(state, e, max_order=max_order)
@@ -396,10 +411,20 @@ def preset_tuning(cfg: DeviceConfig, preset: str) -> Tuning:
 
 def build_circuit(cfg: DeviceConfig, preset: str, *, include_eoms: bool = True,
                   extra_phases: Mapping[str, float] | None = None) -> Circuit:
-    """The unrolled bench for one preset: 'bit0', 'bit1' or 'calibration'."""
+    """The unrolled bench for one preset: 'bit0', 'bit1' or 'calibration'.
+
+    Built once per config, preset, modulator choice and extra phases; the
+    frozen circuit is shared by every caller.
+    """
+    return _built(cfg, preset, include_eoms, tuple((extra_phases or {}).items()))
+
+
+@lru_cache(maxsize=RESULT_CACHE_SIZE)
+def _built(cfg: DeviceConfig, preset: str, include_eoms: bool,
+           extra_phases: tuple[tuple[str, float], ...]) -> Circuit:
     return _assemble(_r2_table(cfg), _eom_table(cfg) if include_eoms else None,
                      preset_tuning(cfg, preset), shutter=(preset == "bit1"),
-                     extra_phases=extra_phases)
+                     extra_phases=dict(extra_phases))
 
 
 # --------------------------------------------------------------------------

@@ -241,15 +241,28 @@ def config_from_dict(raw: dict) -> DeviceConfig:
         raise ConfigError(f"malformed device config: {exc}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct: a repeated key would silently
+    override the first."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r} in config JSON")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> DeviceConfig:
     """Read a device config from a JSON file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config {path} is nested too deeply") from None
     return config_from_dict(raw)
 
 

@@ -17,7 +17,9 @@ to the out-ports, and :func:`apply_adjoint`, the step of backward
 evolution, applies ``m^H`` from the out-ports back to the in-ports.  Only
 the modulator, which writes sideband tags forward and is the identity
 backward, has no matrix.  Detectors are not elements: a circuit names the
-arms it reads out after its last element.
+arms it reads out after its last element.  A step never changes the state
+it is given, and the terminal states :mod:`cfcomm.circuit` shares between
+callers are handed out as copies, so a caller may change any state it holds.
 
 Two modelling choices live here and nowhere else:
 
@@ -43,7 +45,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from operator import mul
 from typing import Iterator, Mapping, Union
 
 from .errors import ConfigError
@@ -219,7 +220,9 @@ def _transfer(state: PhotonState, e: Linear, adjoint: bool) -> PhotonState:
     float sums and the insertion order of the result do not depend on the
     hash seed; a single feeding arm keeps its own insertion order.  An arm
     on both sides of the step is updated in place; an output that comes out
-    exactly zero is not stored.
+    exactly zero is not stored.  Each output is the row's dot product summed
+    from ``0`` in port order, ``0 + x0*a0 + x1*a1``, written out for one and
+    for two feeding arms (the float operations of ``sum(map(mul, row, a))``).
     """
     out = state.copy()
     amps = out.amps
@@ -228,17 +231,32 @@ def _transfer(state: PhotonState, e: Linear, adjoint: bool) -> PhotonState:
         m = [[x.conjugate() for x in col] for col in zip(*e.m)]
     else:
         src, dst, m = e.ins, e.outs, e.m
+    rows = [(mode, mode in src, row) for mode, row in zip(dst, m)]
     if len(src) == 1:
-        tags = [tag for (mode, tag) in amps if mode == src[0]]
-    else:
-        tags = sorted({tag for (mode, tag) in amps if mode in src})
-    for tag in tags:
-        a = [amps.get((mode, tag), 0j) if mode in dst
-             else amps.pop((mode, tag), 0j) for mode in src]
-        for mode, row in zip(dst, m):
-            o = sum(map(mul, row, a))
+        s0, = src
+        keep = s0 in dst
+        for tag in [tag for (mode, tag) in amps if mode == s0]:
+            a0 = amps[s0, tag] if keep else amps.pop((s0, tag))
+            for mode, in_place, (x0,) in rows:
+                o = 0 + x0 * a0
+                key = (mode, tag)
+                if in_place:
+                    if o != 0j:
+                        amps[key] = o
+                    else:
+                        del amps[key]
+                elif o != 0j:
+                    amps[key] = amps.get(key, 0j) + o
+        return out
+    s0, s1 = src
+    keep0, keep1 = s0 in dst, s1 in dst
+    for tag in sorted({tag for (mode, tag) in amps if mode == s0 or mode == s1}):
+        a0 = amps.get((s0, tag), 0j) if keep0 else amps.pop((s0, tag), 0j)
+        a1 = amps.get((s1, tag), 0j) if keep1 else amps.pop((s1, tag), 0j)
+        for mode, in_place, (x0, x1) in rows:
+            o = 0 + x0 * a0 + x1 * a1
             key = (mode, tag)
-            if mode in src:
+            if in_place:
                 if o != 0j:
                     amps[key] = o
                 else:

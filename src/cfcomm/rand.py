@@ -127,13 +127,13 @@ def point_poisson(seed: int, label: int, lam, size: int | None = None) -> np.nda
     result has shape ``(len(lam),)`` or ``(len(lam), size)``.
     """
     lam = np.asarray(lam, dtype=float)
-    keys = _point_keys(seed, label, len(lam))
+    # Python ints re-key the generator faster than numpy uint64 rows
+    keys = _point_keys(seed, label, len(lam)).tolist()
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
     # a freshly seeded Philox: counter zero, four-word output buffer used up
-    words = {"counter": zeros, "key": zeros[:2]}
-    state = {"bit_generator": "Philox", "state": words, "buffer": zeros,
+    words = {"counter": [0, 0, 0, 0], "key": [0, 0]}
+    state = {"bit_generator": "Philox", "state": words, "buffer": [0, 0, 0, 0],
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     out = np.empty(lam.shape + (() if size is None else (size,)), dtype=np.int64)
     for j, (mu, key) in enumerate(zip(lam, keys)):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import mul
 
 import numpy as np
 from scipy.optimize import brentq
@@ -145,6 +146,46 @@ def sideband_strengths(trace_table: dict[str, float]) -> dict[str, float]:
     """
     return {lab: sum(trace_table[a] ** 2 for a in arms)
             for lab, arms in LABEL_ARMS.items()}
+
+
+# --------------------------------------------------------------------------
+# the generic element step
+# --------------------------------------------------------------------------
+
+def transfer(amps: dict, ins, outs, m, adjoint: bool) -> dict:
+    """One linear element step on a sparse ``(arm, tag) -> amplitude`` map.
+
+    The plain loop the package's unrolled step must equal item for item:
+    for any number of ports, every output is ``sum(map(mul, row, a))``;
+    tags are visited in insertion order from one feeding arm and sorted
+    from several; an arm on both sides is updated in place, and an output
+    exactly zero is not stored.  ``m`` has rows for the out-ports; the
+    adjoint applies ``m^H`` from the out-ports back to the in-ports.
+    """
+    amps = dict(amps)
+    if adjoint:
+        src, dst = outs, ins
+        m = [[x.conjugate() for x in col] for col in zip(*m)]
+    else:
+        src, dst = ins, outs
+    if len(src) == 1:
+        tags = [tag for (mode, tag) in amps if mode == src[0]]
+    else:
+        tags = sorted({tag for (mode, tag) in amps if mode in src})
+    for tag in tags:
+        a = [amps.get((mode, tag), 0j) if mode in dst
+             else amps.pop((mode, tag), 0j) for mode in src]
+        for mode, row in zip(dst, m):
+            o = sum(map(mul, row, a))
+            key = (mode, tag)
+            if mode in src:
+                if o != 0j:
+                    amps[key] = o
+                else:
+                    amps.pop(key, None)
+            elif o != 0j:
+                amps[key] = amps.get(key, 0j) + o
+    return amps
 
 
 # --------------------------------------------------------------------------

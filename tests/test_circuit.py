@@ -13,7 +13,8 @@ from cfcomm.circuit import (Circuit, Tuning, build_circuit, calibration_tuning,
                             propagate_cuts, solve_tuning, validate_circuit)
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
-from cfcomm.optics import Attenuator, Beamsplitter, Block, Eom, Mirror, PhaseShift
+from cfcomm.optics import (Attenuator, Beamsplitter, Block, Eom, Mirror, PhaseShift,
+                           PhotonState, apply_element)
 
 import oracles
 
@@ -46,8 +47,62 @@ def test_result_caches_stay_bounded_over_fresh_configs(bench):
     for seed in range(circuit.RESULT_CACHE_SIZE + 5):
         cfg = dataclasses.replace(bench, seed=seed)
         solve_tuning(cfg), calibration_tuning(cfg), sector_probs(cfg, "bit1")
-    for fn in (solve_tuning, calibration_tuning, sector_probs):
+    for fn in (solve_tuning, calibration_tuning, sector_probs,
+               circuit._built, circuit._terminal):
         assert fn.cache_info().currsize <= circuit.RESULT_CACHE_SIZE
+
+
+# -- shared circuits and terminal states -------------------------------------
+
+def uncached_terminal(c: Circuit, max_order: int) -> PhotonState:
+    state = PhotonState.from_sources(c.sources)
+    for e in c.elements:
+        state = apply_element(state, e, max_order=max_order)
+    return state
+
+
+def test_build_circuit_returns_one_shared_circuit(bench):
+    c = build_circuit(bench, "bit1")
+    assert build_circuit(bench, "bit1", include_eoms=True, extra_phases={}) is c
+    assert build_circuit(bench, "bit1", include_eoms=False) != c
+    shifted = build_circuit(bench, "bit1", extra_phases={"reference": 0.3})
+    assert shifted != c
+    assert build_circuit(bench, "bit1", extra_phases={"reference": 0.3}) is shifted
+
+
+def test_propagate_hands_out_copies(bench):
+    """Changing a returned state leaves the next result as it was."""
+    c = build_circuit(bench, "bit0")
+    first = propagate(c)
+    want = repr(list(first.amps.items()))
+    first.amps[("det0", ())] = 5.0 + 0j
+    first.amps.pop(next(iter(first.amps)))
+    first.amps[("stray", ())] = 1j
+    assert repr(list(propagate(c).amps.items())) == want
+    assert repr(list(uncached_terminal(c, 1).amps.items())) == want
+
+
+def test_spellings_of_one_propagation_share_a_cache_entry(bench):
+    c = build_circuit(bench, "calibration")
+    circuit._terminal.cache_clear()
+    propagate(c)
+    propagate(c, max_order=1)
+    propagate(c, 1)
+    detection_probs(c)
+    info = circuit._terminal.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_order_two_never_reads_the_order_one_entry(bench, first):
+    c = build_circuit(bench, "bit1")
+    circuit._terminal.cache_clear()
+    got = {order: propagate(c, max_order=order) for order in (first, 3 - first)}
+    assert circuit._terminal.cache_info().misses == 2
+    for order, state in got.items():
+        assert repr(list(state.amps.items())) == repr(
+            list(uncached_terminal(c, order).amps.items()))
+    assert len(got[2].amps) > len(got[1].amps)
 
 
 def test_tuning_matches_closed_form_at_uneven_split(bench):

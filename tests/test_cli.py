@@ -302,6 +302,26 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert code == 2 and stdout == "" and "UTF-8" in err
 
 
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    """json.load recurses per nesting level: its RecursionError is mapped."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, stdout, err = run(capsys, "--config", str(deep), "source-filter")
+    assert code == 2 and stdout == "" and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_duplicate_config_key_exits_2(tmp_path, capsys):
+    """A repeated key must not fall back silently on the auto balance."""
+    doc = reference_dict()
+    del doc["attenuator_t"]
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(doc)[:-1] + ', "attenuator_t": 0.4, "attenuator_t": "auto"}')
+    code, stdout, err = run(capsys, "--config", str(bad), "trace", "--preset",
+                            "bit1", "--detector", "det1")
+    assert code == 2 and stdout == "" and "'attenuator_t'" in err
+
+
 def test_raw_bitmap_exits_2(tmp_path, capsys):
     """A raw (P4) bitmap is binary: refused as not plain, never decoded."""
     raw = tmp_path / "raw.pbm"

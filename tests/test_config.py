@@ -2,11 +2,12 @@
 
 import copy
 import dataclasses
+import json
 import math
 
 import pytest
 
-from cfcomm.config import config_from_dict, reference_device
+from cfcomm.config import config_from_dict, load_config, reference_device
 from cfcomm.errors import ConfigError
 
 from conftest import reference_dict
@@ -71,6 +72,20 @@ def test_unknown_key_is_named(path):
     doc = with_value(reference_dict(), path, 0.5)
     with pytest.raises(ConfigError, match=f"unknown key.*'{path[-1]}'"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("path", [("attenuator_t",), ("eoms", "link", "alpha")],
+                         ids=lambda p: ".".join(p))
+def test_duplicate_key_is_named(tmp_path, path):
+    """The second of two equal keys would silently win: refused instead."""
+    doc = reference_dict()
+    node = doc if len(path) == 1 else doc[path[0]][path[1]]
+    first, node[path[-1]] = node[path[-1]], "@twice@"
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(doc).replace(
+        '"@twice@"', f'{json.dumps(first)}, "{path[-1]}": 0.1'))
+    with pytest.raises(ConfigError, match=f"duplicate key '{path[-1]}'"):
+        load_config(bad)
 
 
 def test_integer_seed_and_largest_bin_are_accepted():

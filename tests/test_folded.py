@@ -5,11 +5,12 @@ import dataclasses
 
 import pytest
 
+from cfcomm import circuit
 from cfcomm.circuit import (FoldedDevice, PRESETS, build_circuit,
-                            detection_probs, expand_folded)
+                            detection_probs, expand_folded, propagate)
 from cfcomm.config import reference_device
 from cfcomm.errors import TopologyError
-from cfcomm.optics import Eom
+from cfcomm.optics import Eom, PhotonState, apply_element
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,25 @@ def test_expansion_probabilities_agree(bench, preset, include_eoms):
         FoldedDevice.from_config(bench, preset), include_eoms=include_eoms))
     for det in direct:
         assert folded[det] == pytest.approx(direct[det], abs=1e-12)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("order", [1, 2])
+def test_twin_gives_identical_terminal_states(bench, preset, order):
+    """The rebuilt twin is an equal circuit: whichever of the two propagates
+    first, both read the same items, in order, as a fresh propagation."""
+    direct = build_circuit(bench, preset)
+    twin = expand_folded(FoldedDevice.from_config(bench, preset))
+    assert twin == direct and twin is not direct
+    fresh = PhotonState.from_sources(twin.sources)
+    for e in twin.elements:
+        fresh = apply_element(fresh, e, max_order=order)
+    want = repr(list(fresh.amps.items()))
+    for c in (twin, direct):
+        circuit._terminal.cache_clear()
+        for d in (c, direct if c is twin else twin):
+            assert repr(list(propagate(d, order).amps.items())) == want
+        assert circuit._terminal.cache_info().hits == 1
 
 
 def test_from_config_sets_shutter_by_preset(bench):

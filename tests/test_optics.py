@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from cfcomm.errors import ConfigError
 from cfcomm.optics import (CARRIER, ALPHA_MAX, Attenuator, Beamsplitter, Block,
                            Eom, Linear, Mirror, PhaseShift, PhotonState,
                            apply_adjoint, apply_element, detuning_ghz)
+
+import oracles
 
 def two_mode(a1, a2):
     return PhotonState.from_sources([("a", a1), ("b", a2)])
@@ -133,6 +135,76 @@ def test_adjoint_pairing(element, a1, a2, b1, b2):
     lhs = inner(apply_element(x, element), y)
     rhs = inner(x, apply_adjoint(y, element))
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+# -- the unrolled step against the generic loop ----------------------------
+
+STEP_ELEMENTS = [
+    Beamsplitter(0.37, "a", "b", "c", "d"),
+    Linear(("a", "b"), ("c", "d"), ((0.8, 0.6j * cmath.exp(1.1j)),
+                                    (0.6j * cmath.exp(-1.1j), 0.8))),
+    # signed zeros in the matrix
+    Linear(("a", "b"), ("c", "d"), ((1.0, -0.0), (0.0, -1.0))),
+    # two in-ports, one of them updated in place
+    Linear(("a", "b"), ("a", "c"), ((0.6, -0.8), (0.8, 0.6))),
+    # equal in-port amplitudes cancel exactly
+    Linear(("a", "b"), ("c",), ((1.0, -1.0),)),
+    # a row of zeros: that output is never stored
+    Linear(("a",), ("c", "d"), ((0.0,), (1.0,))),
+    PhaseShift("a", 0.9),
+    PhaseShift("a", math.pi),
+    Mirror("a", "c"),
+    Attenuator("a", 0.55, "loss"),
+    Block("a", "loss"),
+]
+
+STEP_ARMS = ["a", "b", "c", "d", "loss", "x"]
+STEP_TAGS = [CARRIER, B1, (("B", -1, 1),), (("A", +1, 2),),
+             (("A", +1, 1), ("B", -1, 2))]
+#: exact values, signed zeros and cancelling pairs
+STEP_SPECIALS = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.5),
+                 1 + 0j, -1 + 0j, 0.5j, 0.25 - 0.25j, complex(0.5, -0.0)]
+#: every arm and tag, the special values in turn: signed zeros reach the
+#: in-place ports, where only ``0 + x0*a0 + ...`` turns -0.0 into 0.0
+STEP_EVERY_KEY = [(arm, tag, STEP_SPECIALS[i % len(STEP_SPECIALS)])
+                  for i, (arm, tag) in enumerate(
+                      (arm, tag) for arm in STEP_ARMS for tag in STEP_TAGS)]
+
+#: an output arm already holding -0.0 keeps it unless the sum starts at 0
+STEP_ONTO_SIGNED_ZERO = [("a", CARRIER, complex(-0.0, 0.5)),
+                         ("c", CARRIER, complex(-0.0, -0.0))]
+STEP_BACK_ONTO_SIGNED_ZERO = [("c", CARRIER, complex(-0.0, 0.5)),
+                              ("a", CARRIER, complex(-0.0, -0.0))]
+#: tags out of sorted order, written to an arm that holds none of them yet
+STEP_TAGS_UNSORTED = [(arm, tag, 0.5 + 0j) for arm in ("a", "c")
+                      for tag in (B1, CARRIER)]
+
+step_entries = st.lists(st.tuples(
+    st.sampled_from(STEP_ARMS), st.sampled_from(STEP_TAGS),
+    st.one_of(st.sampled_from(STEP_SPECIALS), amps_st)), max_size=14)
+
+
+@pytest.mark.parametrize("element", STEP_ELEMENTS)
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@given(entries=step_entries)
+@example(entries=STEP_EVERY_KEY)
+@example(entries=STEP_ONTO_SIGNED_ZERO)
+@example(entries=STEP_BACK_ONTO_SIGNED_ZERO)
+@example(entries=STEP_TAGS_UNSORTED)
+@settings(max_examples=20)
+def test_step_equals_the_generic_loop(element, adjoint, entries):
+    """Same items, same order, same reprs (signed zeros included) as the
+    plain loop over ports, forward and adjoint."""
+    state = PhotonState()
+    for arm, tag, a in entries:
+        state.amps[(arm, tag)] = a
+    before = repr(list(state.amps.items()))
+    step = apply_adjoint if adjoint else apply_element
+    got = step(state, element).amps
+    want = oracles.transfer(state.amps, element.ins, element.outs, element.m,
+                            adjoint)
+    assert repr(list(got.items())) == repr(list(want.items()))
+    assert repr(list(state.amps.items())) == before
 
 
 # -- phase shift, attenuator, block, mirror --------------------------------

@@ -54,9 +54,24 @@ MUTANTS = (
      ("tests/test_optics.py::test_adjoint_pairing[element1]",
       "tests/test_optics.py::test_adjoint_pairing[element4]")),
     ("tag-sort-reversed", OPTICS,
-     "tags = sorted({tag for (mode, tag) in amps if mode in src})",
-     "tags = sorted({tag for (mode, tag) in amps if mode in src}, reverse=True)",
+     "sorted({tag for (mode, tag) in amps if mode == s0 or mode == s1})",
+     "sorted({tag for (mode, tag) in amps if mode == s0 or mode == s1}, reverse=True)",
      ("tests/test_optics.py::test_splitter_emits_tags_in_label_sign_instance_order",)),
+    ("two-port-tags-unsorted", OPTICS,
+     "sorted({tag for (mode, tag) in amps if mode == s0 or mode == s1})",
+     "dict.fromkeys(tag for (mode, tag) in amps if mode == s0 or mode == s1)",
+     ("tests/test_optics.py::test_splitter_emits_tags_in_label_sign_instance_order",
+      "tests/test_optics.py::test_step_equals_the_generic_loop[forward-element0]",
+      "tests/test_optics.py::test_step_equals_the_generic_loop[adjoint-element0]")),
+    # the int 0 the sum starts from turns a -0.0 part into 0.0
+    ("one-port-step-without-int-zero", OPTICS,
+     "o = 0 + x0 * a0\n",
+     "o = x0 * a0\n",
+     ("tests/test_optics.py::test_step_equals_the_generic_loop[forward-element9]",)),
+    ("two-port-step-without-int-zero", OPTICS,
+     "o = 0 + x0 * a0 + x1 * a1",
+     "o = x0 * a0 + x1 * a1",
+     ("tests/test_optics.py::test_step_equals_the_generic_loop[forward-element1]",)),
     ("tag-without-instance", OPTICS,
      "        ku = (e.mode, tag + ((e.label, +1, inst),))\n"
      "        kd = (e.mode, tag + ((e.label, -1, inst),))",
@@ -65,6 +80,18 @@ MUTANTS = (
      ("tests/test_optics.py::test_modulator_distinct_instances_do_not_interfere",
       "tests/test_optics.py::test_modulator_rf_average_matches_instance_model",
       "tests/test_acceptance.py::test_criterion_2_doubling_ratio")),
+    ("terminal-cache-without-order", CIRCUIT,
+     "    return _terminal(circuit, max_order).copy()",
+     "    cache = globals().setdefault(\"_by_circuit\", {})\n"
+     "    if circuit not in cache:\n"
+     "        cache[circuit] = _terminal(circuit, max_order)\n"
+     "    return cache[circuit].copy()",
+     ("tests/test_circuit.py::test_order_two_never_reads_the_order_one_entry[1]",
+      "tests/test_circuit.py::test_order_two_never_reads_the_order_one_entry[2]")),
+    ("terminal-handed-out-uncopied", CIRCUIT,
+     "    return _terminal(circuit, max_order).copy()",
+     "    return _terminal(circuit, max_order)",
+     ("tests/test_circuit.py::test_propagate_hands_out_copies",)),
     ("absent-arm-live", CIRCUIT,
      'arm = status.get(m, "virgin")',
      'arm = status.get(m, "live")',
@@ -138,6 +165,17 @@ MUTANTS = (
      "except (json.JSONDecodeError, UnicodeDecodeError) as exc:",
      "except json.JSONDecodeError as exc:",
      (CLI_TESTS + "test_non_utf8_config_exits_2",)),
+    ("config-recursion-unmapped", CONFIG,
+     "    except RecursionError:\n"
+     "        raise ConfigError(f\"config {path} is nested too deeply\") from None\n",
+     "",
+     (CLI_TESTS + "test_deeply_nested_config_exits_2",)),
+    ("config-duplicate-keys-kept", CONFIG,
+     "json.load(fh, object_pairs_hook=_unique_keys)",
+     "json.load(fh)",
+     (CLI_TESTS + "test_duplicate_config_key_exits_2",
+      CONFIG_TESTS + "test_duplicate_key_is_named[attenuator_t]",
+      CONFIG_TESTS + "test_duplicate_key_is_named[eoms.link.alpha]")),
     ("bitmap-strict-decode", "src/cfcomm/protocol.py",
      'encoding="utf-8", errors="replace"',
      'encoding="utf-8"',
