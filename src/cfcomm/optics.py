@@ -121,7 +121,8 @@ class Linear:
     """A linear element is its port map: ``m`` takes the amplitudes on
     ``ins`` to those on ``outs`` (rows: out-ports, columns: in-ports),
     identically for every sideband tag (GHz shifts are negligible against
-    the element bandwidth)."""
+    the element bandwidth).  It has one or two in-ports and one or two
+    out-ports, the shapes the element step is written out for."""
 
     ins: tuple[str, ...]
     outs: tuple[str, ...]
