@@ -4,8 +4,12 @@ Each command runs in process through ``cli.main`` in a fresh directory.  Its
 outputs -- exit code, stdout, stderr (warnings included, as category and
 message) and the CSV, PBM and stats files it may write -- are hashed and
 compared with ``golden_manifest.json``; a file the run did not write is
-recorded as ``null``.  A mismatch names the command and the output that
-changed.  Hash-seed and thread-count invariance is criterion 8's job.
+recorded as ``null``.  The set runs on both packaged benches and, through
+``--config``, on ``data/asymmetric-bench.json``: unequal splitters, unequal
+modulation depths, visibilities below 1, dark counts and a heralding
+efficiency below 1, where sums that cancel on the 50/50 benches do not.  A
+mismatch names the command and the output that changed.  Hash-seed and
+thread-count invariance is criterion 8's job.
 
 A change that alters an output on purpose rewrites the manifest with::
 
@@ -28,6 +32,10 @@ from cfcomm.cli import ENV_CONFIG, main
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 
+#: the asymmetric, imperfect bench, copied into each run's directory
+ASYMMETRIC = Path(__file__).with_name("data") / "asymmetric-bench.json"
+BENCHES = ((), ("--fitted",), ("--config", ASYMMETRIC.name))
+
 #: output files a command may write, by their manifest name
 FILES = {"csv": "scan.csv", "pbm": "out.pbm", "stats": "stats.json"}
 
@@ -38,7 +46,7 @@ IMAGE = "P1\n16 12\n" + "".join(
 
 SEEDS = ("0", "5", str(2**64 - 1))
 SPECTRA = (("bit0", "det0"), ("bit1", "det1"), ("calibration", "det0"),
-           ("bit0", "det1"))  # the last is dark: exit 3
+           ("bit0", "det1"))  # the last is dark on a 50/50 bench: exit 3
 SCAN = ("spectrum", "--preset", "bit1", "--detector", "det1", "--out", "scan.csv")
 IMAGE_RUN = ("send-image", "--image", "in.pbm", "--out", "out.pbm",
              "--stats", "stats.json")
@@ -55,7 +63,7 @@ FAILING = (
 
 
 def commands() -> list[tuple[str, ...]]:
-    """The command set: every run, on the reference and the fitted bench."""
+    """The command set: every run, on each of the three benches."""
     runs: list[tuple[str, ...]] = []
     for preset, detector in SPECTRA:
         for seed in SEEDS:
@@ -71,7 +79,7 @@ def commands() -> list[tuple[str, ...]]:
         for seed in ("7", "123456789"):
             runs.append((*IMAGE_RUN, "--policy", policy, "--seed", seed))
     runs.extend(FAILING)
-    return [bench + run for bench in ((), ("--fitted",)) for run in runs]
+    return [bench + run for bench in BENCHES for run in runs]
 
 
 def _sha(data: bytes) -> str:
@@ -86,6 +94,7 @@ def run_command(argv: tuple[str, ...]) -> dict[str, str | None]:
         os.chdir(work)
         try:
             Path("in.pbm").write_text(IMAGE)
+            Path(ASYMMETRIC.name).write_bytes(ASYMMETRIC.read_bytes())
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -107,7 +116,7 @@ def run_command(argv: tuple[str, ...]) -> dict[str, str | None]:
 
 
 def golden_digests() -> dict[str, dict[str, str | None]]:
-    saved = os.environ.pop(ENV_CONFIG, None)  # the packaged benches only
+    saved = os.environ.pop(ENV_CONFIG, None)  # the benches the commands name
     try:
         return {" ".join(argv): run_command(argv) for argv in commands()}
     finally:
