@@ -12,11 +12,11 @@ ordered tuple of elements.  The fold is represented by
 unrolled wiring element for element; keeping that equivalence testable is
 why the unrolled form is the primary representation.
 
-Each circuit is built once per config, preset, modulator choice and extra
-phases, and propagated once per sideband order: :func:`build_circuit` hands
-every caller the same frozen circuit, and :func:`propagate` hands out copies
-of one shared terminal state, which equal circuits (such as the folded twin)
-share too.
+Each circuit is built once per config, preset and modulator choice, and
+propagated once per sideband order: :func:`build_circuit` hands every caller
+the same frozen circuit, and :func:`propagate` hands out copies of one
+shared terminal state, which equal circuits (such as the folded twin) share
+too.
 """
 
 from __future__ import annotations
@@ -73,13 +73,10 @@ PRESETS = ("bit0", "bit1", "calibration")
 POSTSELECTION_FLOOR = 1e-14
 
 #: entries per result cache: tunings and sector tables take at most three
-#: per bench, built circuits and terminal states 18 in a full commission
-#: (six phase-free circuits, twelve dephasing probes), so a stream of fresh
+#: per bench, built circuits and terminal states six in a full commission
+#: (three presets, with and without modulators), so a stream of fresh
 #: configs keeps the last few benches and a bounded memory
 RESULT_CACHE_SIZE = 64
-
-#: arms where a slow dephasing phase may be injected
-_DEPHASING_ARMS = (REFERENCE, SHUTTER_1, SHUTTER_2)
 
 
 @dataclass(frozen=True)
@@ -292,16 +289,10 @@ def sideband_strengths(report: TraceReport, cfg: DeviceConfig) -> dict[str, floa
 # --------------------------------------------------------------------------
 
 def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
-              tun: Tuning, *, shutter: bool,
-              extra_phases: Mapping[str, float] | None = None) -> Circuit:
+              tun: Tuning, *, shutter: bool) -> Circuit:
     """Unrolled element list for one pass of the folded bench: both inner
     passes take ``tun.inner_phase``, and ``eoms`` maps site -> spec (None
     disables all modulators)."""
-    extra = dict(extra_phases or {})
-    for arm in extra:
-        if arm not in _DEPHASING_ARMS:
-            raise TopologyError(f"no dephasing injection point on arm {arm!r}")
-
     def bs(key: str, in1: str, in2: str, out1: str, out2: str,
            name: str) -> Element:
         return Beamsplitter(r2[key], in1, in2, out1, out2, name)
@@ -312,18 +303,13 @@ def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
         s = eoms[site]
         return [Eom(arm, s.label, s.freq_ghz, s.alpha, instance)]
 
-    def dephase(arm: str) -> list[Element]:
-        return [PhaseShift(arm, extra[arm], "dephasing")] if arm in extra else []
-
     els: list[Element] = [
         bs("outer", SOURCE, VAC_ENTRY, ENTRY, REFERENCE, "outer_tap"),
         Attenuator(REFERENCE, tun.attenuator_t, LOSS_ATT),
         PhaseShift(REFERENCE, tun.reference_phase, "reference_phase"),
-        *dephase(REFERENCE),
         *eom("reference", REFERENCE, 1),
         *eom("entry", ENTRY, 1),
         bs("inner_near", ENTRY, VAC_INNER_1, SHUTTER_1, OPEN_1, "inner_split_1"),
-        *dephase(SHUTTER_1),
         *([Block(SHUTTER_1, LOSS_SHUTTER_1)] if shutter else []),
         *eom("shutter_arm", SHUTTER_1, 1),
         PhaseShift(OPEN_1, tun.inner_phase, "inner_phase_1"),
@@ -333,7 +319,6 @@ def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
         Mirror(LINK_1, LINK_2),
         *eom("link", LINK_2, 2),
         bs("inner_far", LINK_2, VAC_INNER_2, SHUTTER_2, OPEN_2, "inner_split_2"),
-        *dephase(SHUTTER_2),
         *([Block(SHUTTER_2, LOSS_SHUTTER_2)] if shutter else []),
         *eom("shutter_arm", SHUTTER_2, 2),
         PhaseShift(OPEN_2, tun.inner_phase, "inner_phase_2"),
@@ -409,22 +394,20 @@ def preset_tuning(cfg: DeviceConfig, preset: str) -> Tuning:
     return calibration_tuning(cfg) if preset == "calibration" else solve_tuning(cfg)
 
 
-def build_circuit(cfg: DeviceConfig, preset: str, *, include_eoms: bool = True,
-                  extra_phases: Mapping[str, float] | None = None) -> Circuit:
+def build_circuit(cfg: DeviceConfig, preset: str, *,
+                  include_eoms: bool = True) -> Circuit:
     """The unrolled bench for one preset: 'bit0', 'bit1' or 'calibration'.
 
-    Built once per config, preset, modulator choice and extra phases; the
-    frozen circuit is shared by every caller.
+    Built once per config, preset and modulator choice; the frozen circuit
+    is shared by every caller.
     """
-    return _built(cfg, preset, include_eoms, tuple((extra_phases or {}).items()))
+    return _built(cfg, preset, include_eoms)
 
 
 @lru_cache(maxsize=RESULT_CACHE_SIZE)
-def _built(cfg: DeviceConfig, preset: str, include_eoms: bool,
-           extra_phases: tuple[tuple[str, float], ...]) -> Circuit:
+def _built(cfg: DeviceConfig, preset: str, include_eoms: bool) -> Circuit:
     return _assemble(_r2_table(cfg), _eom_table(cfg) if include_eoms else None,
-                     preset_tuning(cfg, preset), shutter=(preset == "bit1"),
-                     extra_phases=dict(extra_phases))
+                     preset_tuning(cfg, preset), shutter=(preset == "bit1"))
 
 
 # --------------------------------------------------------------------------

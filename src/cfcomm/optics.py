@@ -34,10 +34,7 @@ Two modelling choices live here and nowhere else:
   tag.  Components created by different passes of the same modulator
   therefore sit in different buckets and their intensities add, which is
   what a slow free-running RF phase between passes does to time-averaged
-  spectra.  Setting ``rf_phase`` on a modulator switches it to an explicit
-  Monte-Carlo mode: the sidebands then carry ``e^{+-i theta}`` and share
-  bucket 0, so different passes interfere; averaging over random ``theta``
-  must reproduce the incoherent sums.
+  spectra.
 """
 
 from __future__ import annotations
@@ -100,16 +97,6 @@ class PhotonState:
 
     def carrier_prob(self, mode: str) -> float:
         return abs(self.amps.get((mode, CARRIER), 0j)) ** 2
-
-    def tag_prob(self, mode: str, label: str) -> float:
-        """Intensity on one arm carrying a given modulator label.
-
-        Sums |amplitude|^2 over both sideband signs and all passes — the
-        buckets are distinct, so cross-pass addition is incoherent by
-        construction.
-        """
-        return sum((abs(a) ** 2 for (m, tag), a in self.amps.items()
-                    if m == mode and any(lab == label for lab, _, _ in tag)), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +163,6 @@ class Eom:
     freq_ghz: float
     alpha: float
     instance: int = 1
-    rf_phase: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= ALPHA_MAX:
@@ -271,12 +257,7 @@ def _modulate(state: PhotonState, e: Eom, max_order: int) -> PhotonState:
     """Forward modulator pass: each input component radiates two sidebands."""
     out = state.copy()
     amps = out.amps
-    if e.rf_phase is None:
-        up, dn, inst = complex(e.alpha), complex(e.alpha), e.instance
-    else:
-        up = e.alpha * cmath.exp(1j * e.rf_phase)
-        dn = e.alpha * cmath.exp(-1j * e.rf_phase)
-        inst = 0  # shared bucket: passes interfere, as for a locked RF phase
+    alpha = complex(e.alpha)
     # snapshot (key, amplitude) first: each INPUT component radiates
     # independently, so freshly written sidebands must not be re-read
     for key, a in [(k, amps[k]) for k in amps if k[0] == e.mode]:
@@ -285,8 +266,8 @@ def _modulate(state: PhotonState, e: Eom, max_order: int) -> PhotonState:
             continue  # already at the truncation depth: passes unchanged
         if a == 0j or e.alpha == 0.0:
             continue
-        ku = (e.mode, tag + ((e.label, +1, inst),))
-        kd = (e.mode, tag + ((e.label, -1, inst),))
-        amps[ku] = amps.get(ku, 0j) + up * a
-        amps[kd] = amps.get(kd, 0j) + dn * a
+        ku = (e.mode, tag + ((e.label, +1, e.instance),))
+        kd = (e.mode, tag + ((e.label, -1, e.instance),))
+        amps[ku] = amps.get(ku, 0j) + alpha * a
+        amps[kd] = amps.get(kd, 0j) + alpha * a
     return out

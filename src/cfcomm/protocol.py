@@ -9,9 +9,10 @@ from them, and moves whole bitmaps.
 Slow interferometer drift is modelled as a four-sector mixture: each loop
 is either coherent or fully dephased during a detection bin, with weights
 set by its fringe visibility.  The detector amplitudes are polynomials of
-low degree in the drift phase factors, so six probe propagations give
-their coefficients exactly, and the dephased averages follow from those
-coefficients in closed form; no phase grid is sampled.
+low degree in the drift phase factors.  One walk of the bench, in which
+light on each drifting arm takes a mark in its tag as the modulators' light
+does, sorts every detector amplitude into those coefficients exactly, and
+the dephased averages follow from them in closed form; no phase is sampled.
 
 Sampling never loops over trials: the trial count to the first click, the
 number of wrong clicks among a fixed quota, and the extra trials needed to
@@ -27,32 +28,31 @@ which inverts the drift model in closed form, need numpy alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .circuit import (DET0, DET1, REFERENCE, RESULT_CACHE_SIZE, SHUTTER_1,
-                      SHUTTER_2, build_circuit, propagate)
+                      SHUTTER_2, _consuming_index, build_circuit)
 from .config import DeviceConfig, ImperfectionModel
 from .errors import ConfigError, FitInfeasibleError
-from .optics import CARRIER
+from .optics import PhotonState, apply_element
 from .rand import bit_uniforms
 
 __all__ = [
     "ImperfectionModel", "TrialProbs", "BitResult", "Bitmap",
     "TransmissionResult", "sector_probs", "mixture_probs", "trial_probs",
-    "model_error_rates", "fit_model", "two_path_contrast", "send_bit",
-    "transmit_image", "read_pbm", "write_pbm",
+    "model_error_rates", "fit_model", "send_bit", "transmit_image",
+    "read_pbm", "write_pbm",
 ]
 
 _PRESET_BY_BIT = ("bit0", "bit1")
 
-#: inner-drift probes: the cube roots of unity resolve a degree-2 polynomial
-_INNER_PROBES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-#: reference-drift probes: +-1 resolve a degree-1 polynomial
-_REFERENCE_PROBES = (0.0, math.pi)
+#: the kick light on each drifting arm takes: the inner drift z on both
+#: passes of the shutter arm, the reference drift w
+_DRIFT_MARKS = ((REFERENCE, ("w", 1, 0)), (SHUTTER_1, ("z", 1, 0)),
+                (SHUTTER_2, ("z", 1, 0)))
 
 
 # --------------------------------------------------------------------------
@@ -66,23 +66,31 @@ def sector_probs(cfg: DeviceConfig, preset: str) -> dict[str, tuple[float, float
     Keys are two letters, inner loop first: 'c' coherent, 'd' dephased.
     A detector amplitude is ``sum c_jk z^j w^k`` in the inner drift
     ``z = e^{i delta}`` (degree 2: two passes) and the reference drift
-    ``w = e^{i theta}`` (degree 1).  Six probe propagations on the 3 x 2 grid
-    of roots of unity give every ``c_jk`` exactly through a DFT, and a
+    ``w = e^{i theta}`` (degree 1).  One walk of the modulator-free bench
+    appends a ``z`` or ``w`` kick to the tag of every component on a
+    drifting arm just before the arm is consumed, so the component on a
+    detector with j ``z`` and k ``w`` kicks is ``c_jk`` exactly.  A
     dephased loop averages its harmonics away incoherently (Parseval):
     ``cc = |sum c|^2``, ``dc = sum_j |sum_k c_jk|^2``,
     ``cd = sum_k |sum_j c_jk|^2`` and ``dd = sum |c_jk|^2``.
     """
-    grid = (len(_INNER_PROBES), len(_REFERENCE_PROBES))
-    amps = np.empty(grid + (2,), complex)  # probe j, probe k, (det0, det1)
-    for j, delta in enumerate(_INNER_PROBES):
-        for k, theta in enumerate(_REFERENCE_PROBES):
-            terminal = propagate(build_circuit(
-                cfg, preset, include_eoms=False, extra_phases={
-                    SHUTTER_1: delta, SHUTTER_2: delta, REFERENCE: theta}))
-            amps[j, k] = terminal.amp(DET0, CARRIER), terminal.amp(DET1, CARRIER)
-    coeffs = np.fft.fft2(amps, axes=(0, 1)) / (grid[0] * grid[1])
-    cc = np.abs(amps[0, 0]) ** 2  # the undrifted probe itself
-    dc = (np.abs(coeffs.sum(axis=1)) ** 2).sum(axis=0)
+    circuit = build_circuit(cfg, preset, include_eoms=False)
+    marks = {_consuming_index(circuit, arm): (arm, kick) for arm, kick in _DRIFT_MARKS}
+    state = PhotonState.from_sources(circuit.sources)
+    for k, e in enumerate(circuit.elements):
+        if k in marks:
+            arm, kick = marks[k]
+            state.amps = {(m, tag + (kick,) if m == arm else tag): a
+                          for (m, tag), a in state.amps.items()}
+        state = apply_element(state, e)
+    coeffs = np.zeros((3, 2, 2), complex)  # z^j, w^k, (det0, det1)
+    for d, det in enumerate((DET0, DET1)):
+        for tag, a in state.components(det):
+            j = sum(label == "z" for label, _, _ in tag)
+            coeffs[j, len(tag) - j, d] = a
+    rows = coeffs.sum(axis=1)  # sum_k c_jk
+    cc = np.abs(rows.sum(axis=0)) ** 2
+    dc = (np.abs(rows) ** 2).sum(axis=0)
     cd = (np.abs(coeffs.sum(axis=0)) ** 2).sum(axis=0)
     dd = (np.abs(coeffs) ** 2).sum(axis=(0, 1))
     return {name: (float(p[0]), float(p[1]))
@@ -95,17 +103,23 @@ def mixture_probs(cfg: DeviceConfig, preset: str,
     """Drift-averaged (det0, det1) probabilities for one preset.
 
     Visibilities default to the config's; explicit values serve the fit.
+    The mixture is interpolated one loop at a time, ``D + vi (C - D)`` with
+    ``C = cd + vo (cc - cd)`` and ``D = dd + vo (dc - dd)``, so a detector
+    whose coherent and dephased inner sectors are equal does not depend on
+    ``vi`` at all.
     """
     vi = cfg.imperfections.visibility_inner if visibility_inner is None \
         else visibility_inner
     vo = cfg.imperfections.visibility_outer if visibility_outer is None \
         else visibility_outer
-    sectors = sector_probs(cfg, preset)
-    weights = {"cc": vi * vo, "dc": (1.0 - vi) * vo,
-               "cd": vi * (1.0 - vo), "dd": (1.0 - vi) * (1.0 - vo)}
-    p0 = sum(weights[s] * sectors[s][0] for s in sorted(weights))
-    p1 = sum(weights[s] * sectors[s][1] for s in sorted(weights))
-    return p0, p1
+    s = sector_probs(cfg, preset)
+
+    def mix(d: int) -> float:
+        c = s["cd"][d] + vo * (s["cc"][d] - s["cd"][d])
+        dephased = s["dd"][d] + vo * (s["dc"][d] - s["dd"][d])
+        return dephased + vi * (c - dephased)
+
+    return mix(0), mix(1)
 
 
 @dataclass(frozen=True)
@@ -196,8 +210,8 @@ def fit_model(cfg: DeviceConfig, err0: float, err1: float) -> ImperfectionModel:
     ``err1 = (a0 + vo a1) / (t0 + vo t1)`` with ``a`` the det0 terms and
     ``t`` the totals, which inverts to
     ``vo = (err1 t0 - a0) / (a1 - err1 t1)``.  At that ``vo`` the bit0
-    rates are ``D + vi (C - D)`` with ``C = vo cc + (1 - vo) cd`` and
-    ``D = vo dc + (1 - vo) dd``, and err0 (det1 over the total) inverts
+    rates are ``D + vi (C - D)`` with ``C = cd + vo (cc - cd)`` and
+    ``D = dd + vo (dc - dd)``, as :func:`mixture_probs` forms them, and err0 (det1 over the total) inverts
     the same way.  :func:`_loop_visibility` evaluates each inverse from
     the rates at the ends of the visibility range.
 
@@ -221,25 +235,6 @@ def fit_model(cfg: DeviceConfig, err0: float, err1: float) -> ImperfectionModel:
     return ImperfectionModel(visibility_inner=vi, visibility_outer=vo,
                              dark_rate=cfg.imperfections.dark_rate,
                              heralding_efficiency=cfg.imperfections.heralding_efficiency)
-
-
-def two_path_contrast(visibility: float) -> float:
-    """Fringe contrast of a balanced two-path loop at the given visibility.
-
-    Anchors the sector model: a coherent/dephased mixture with weight
-    ``visibility`` shows exactly that contrast, so the fit's visibilities
-    are directly the fringe contrasts an experimenter would quote.
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ConfigError(f"visibility must be in [0, 1], got {visibility}")
-
-    def fringe(phi: float) -> float:
-        # (1 + cos)/2 over one drift period averages to exactly 1/2
-        coherent = abs(0.5 * (1.0 + math.cos(phi))) ** 2 + (0.5 * math.sin(phi)) ** 2
-        return visibility * coherent + (1.0 - visibility) * 0.5
-
-    bright, dark = fringe(0.0), fringe(math.pi)
-    return (bright - dark) / (bright + dark)
 
 
 # --------------------------------------------------------------------------

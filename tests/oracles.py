@@ -189,6 +189,38 @@ def transfer(amps: dict, ins, outs, m, adjoint: bool) -> dict:
 
 
 # --------------------------------------------------------------------------
+# modulator passes
+# --------------------------------------------------------------------------
+
+def tag_prob(amps: dict, mode: str, label: str) -> float:
+    """Intensity on one arm carrying a given modulator label.
+
+    Sums |amplitude|^2 over both sideband signs and all passes: each pass
+    writes its own bucket, so the passes add incoherently.
+    """
+    return sum((abs(a) ** 2 for (m, tag), a in amps.items()
+                if m == mode and any(lab == label for lab, _, _ in tag)), 0.0)
+
+
+def locked_rf_pass(amps: dict, mode: str, label: str, alpha: float,
+                   rf_phase: float) -> dict:
+    """One first-order modulator pass at a locked RF phase ``theta``.
+
+    The carrier on ``mode`` radiates ``alpha e^{+-i theta}`` into the two
+    sidebands of pass bucket 0, which every pass shares, so the passes
+    interfere; sidebands pass unchanged.  Averaged over independent random
+    phases per pass, the sideband intensity must equal the package's
+    incoherent sum over per-pass buckets.
+    """
+    out = dict(amps)
+    a = amps.get((mode, ()), 0j)
+    for sign in (+1, -1):
+        key = (mode, ((label, sign, 0),))
+        out[key] = out.get(key, 0j) + alpha * cmath.exp(sign * 1j * rf_phase) * a
+    return out
+
+
+# --------------------------------------------------------------------------
 # etalons
 # --------------------------------------------------------------------------
 
@@ -253,6 +285,23 @@ def majority_error(k_clicks: int, p_wrong: float) -> float:
 
 def erasure_prob(p_click: float, trials: int) -> float:
     return (1.0 - p_click) ** trials
+
+
+def two_path_contrast(visibility: float) -> float:
+    """Fringe contrast of a balanced two-path loop at the given visibility.
+
+    The sector model mixes the coherent fringe with weight ``visibility``
+    and its drift average with the rest; the mixture's contrast is then
+    exactly ``visibility``, so a fitted visibility is directly the fringe
+    contrast an experimenter would quote.
+    """
+    def fringe(phi: float) -> float:
+        # (1 + cos)/2 over one drift period averages to exactly 1/2
+        coherent = abs(0.5 * (1.0 + math.cos(phi))) ** 2 + (0.5 * math.sin(phi)) ** 2
+        return visibility * coherent + (1.0 - visibility) * 0.5
+
+    bright, dark = fringe(0.0), fringe(math.pi)
+    return (bright - dark) / (bright + dark)
 
 
 # --------------------------------------------------------------------------

@@ -63,11 +63,10 @@ def uncached_terminal(c: Circuit, max_order: int) -> PhotonState:
 
 def test_build_circuit_returns_one_shared_circuit(bench):
     c = build_circuit(bench, "bit1")
-    assert build_circuit(bench, "bit1", include_eoms=True, extra_phases={}) is c
-    assert build_circuit(bench, "bit1", include_eoms=False) != c
-    shifted = build_circuit(bench, "bit1", extra_phases={"reference": 0.3})
-    assert shifted != c
-    assert build_circuit(bench, "bit1", extra_phases={"reference": 0.3}) is shifted
+    assert build_circuit(bench, "bit1", include_eoms=True) is c
+    bare = build_circuit(bench, "bit1", include_eoms=False)
+    assert bare != c
+    assert build_circuit(bench, "bit1", include_eoms=False) is bare
 
 
 def test_propagate_hands_out_copies(bench):
@@ -350,8 +349,3 @@ def test_built_bench_passes_validation_and_reports_cuts(bench):
         assert c.detectors == (circuit.DET0, circuit.DET1) == ("det0", "det1")
         cuts = propagate_cuts(c)
         assert len(cuts) >= 10  # enough stages for the invariance criterion
-
-
-def test_dephasing_knob_restricted_to_slow_arms(bench):
-    with pytest.raises(TopologyError, match="dephas"):
-        build_circuit(bench, "bit0", extra_phases={"link_1": 0.1})

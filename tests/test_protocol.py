@@ -13,11 +13,11 @@ from hypothesis.extra.numpy import arrays
 from cfcomm import circuit, protocol
 from cfcomm.config import BS_NAMES, ImperfectionModel, reference_device
 from cfcomm.errors import ConfigError, FitInfeasibleError
+from cfcomm.optics import PhaseShift
 from cfcomm.protocol import (Bitmap, fit_model, mixture_probs,
                              model_error_rates, read_pbm, sector_probs,
                              send_bit, transmit_image, trial_probs,
-                             two_path_contrast, write_pbm, _decode_block,
-                             _parse_policy)
+                             write_pbm, _decode_block, _parse_policy)
 from cfcomm.rand import bit_uniforms
 
 import oracles
@@ -45,17 +45,31 @@ def test_sector_probabilities_match_closed_form(bench, preset, table):
         assert got[sector][1] == pytest.approx(want[1], abs=1e-12), sector
 
 
+def drifted(c: circuit.Circuit, delta: float, theta: float) -> circuit.Circuit:
+    """The circuit with the inner drift ``delta`` on both shutter-arm passes
+    and the reference drift ``theta``, each a phase plate placed just before
+    the element that takes its arm in without giving it back."""
+    phases = {circuit.SHUTTER_1: delta, circuit.SHUTTER_2: delta,
+              circuit.REFERENCE: theta}
+    elements = []
+    for e in c.elements:
+        elements += [PhaseShift(arm, phases[arm], "drift") for arm in phases
+                     if arm in e.ins and arm not in e.outs]
+        elements.append(e)
+    return dataclasses.replace(c, elements=tuple(elements))
+
+
 def test_sector_probs_match_grid_average(bench, monkeypatch):
-    """Six exact probes per preset reproduce the brute-force grid average."""
-    real, calls = protocol.propagate, []
-    monkeypatch.setattr(protocol, "propagate",
+    """One walk of the shared modulator-free circuit per preset reproduces
+    the brute-force grid average over drift phases placed in the bench."""
+    real, calls = protocol.apply_element, []
+    monkeypatch.setattr(protocol, "apply_element",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
 
-    def probs(cfg, preset, delta, theta):
-        extra = {circuit.SHUTTER_1: delta, circuit.SHUTTER_2: delta,
-                 circuit.REFERENCE: theta}
-        p = circuit.detection_probs(circuit.build_circuit(
-            cfg, preset, include_eoms=False, extra_phases=extra))
+    def probs(c, delta, theta):
+        shifted = drifted(c, delta, theta)
+        circuit.validate_circuit(shifted)
+        p = circuit.detection_probs(shifted)
         return p["det0"], p["det1"]
 
     rng = np.random.default_rng(31)
@@ -64,13 +78,26 @@ def test_sector_probs_match_grid_average(bench, monkeypatch):
         cfg = dataclasses.replace(bench, beamsplitter_r2=r2, attenuator_t="auto")
         for preset in circuit.PRESETS:
             calls.clear()
+            terminals = circuit._terminal.cache_info().misses
             got = sector_probs(cfg, preset)
-            assert len(calls) == 6
-            want = oracles.grid_sectors(
-                lambda d, t: probs(cfg, preset, d, t))
+            c = circuit.build_circuit(cfg, preset, include_eoms=False)
+            assert len(calls) == len(c.elements)
+            assert circuit._terminal.cache_info().misses == terminals
+            want = oracles.grid_sectors(lambda d, t: probs(c, d, t))
             for sector, (p0, p1) in want.items():
                 assert got[sector][0] == pytest.approx(p0, abs=1e-14), sector
                 assert got[sector][1] == pytest.approx(p1, abs=1e-14), sector
+
+
+def test_closed_shutter_sectors_do_not_see_the_inner_loop(asymmetric):
+    """With both shutters closed no light crosses the shutter arms, so the
+    inner loop's coherent and dephased sectors are equal exactly, at both
+    detectors, and err1 does not depend on the inner visibility."""
+    for cfg in asymmetric:
+        s = sector_probs(cfg, "bit1")
+        assert s["cc"] == s["dc"] and s["cd"] == s["dd"], s
+        err1 = {model_error_rates(cfg, vi, 0.97)[1] for vi in (0.0, 0.5, 0.95, 1.0)}
+        assert len(err1) == 1, err1
 
 
 @pytest.mark.parametrize("preset", ["bit0", "bit1"])
@@ -222,7 +249,9 @@ def test_fit_of_zero_errors_is_infeasible_on_asymmetric_benches(asymmetric):
 
 @pytest.mark.parametrize("v", [0.0, 0.5, 0.73, 1.0])
 def test_two_path_contrast_equals_visibility(v):
-    assert two_path_contrast(v) == pytest.approx(v, abs=1e-12)
+    """The sector model's anchor: a coherent/dephased mixture with weight v
+    shows fringe contrast v (the reference in ``oracles``)."""
+    assert oracles.two_path_contrast(v) == pytest.approx(v, abs=1e-12)
 
 
 # -- per-trial click model ---------------------------------------------------

@@ -35,6 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OPTICS = "src/cfcomm/optics.py"
 CIRCUIT = "src/cfcomm/circuit.py"
 CONFIG = "src/cfcomm/config.py"
+PROTOCOL = "src/cfcomm/protocol.py"
 SPECTRAL = "src/cfcomm/spectral.py"
 CLI_TESTS = "tests/test_cli.py::"
 CONFIG_TESTS = "tests/test_config.py::"
@@ -73,8 +74,8 @@ MUTANTS = (
      "o = x0 * a0 + x1 * a1",
      ("tests/test_optics.py::test_step_equals_the_generic_loop[forward-element1]",)),
     ("tag-without-instance", OPTICS,
-     "        ku = (e.mode, tag + ((e.label, +1, inst),))\n"
-     "        kd = (e.mode, tag + ((e.label, -1, inst),))",
+     "        ku = (e.mode, tag + ((e.label, +1, e.instance),))\n"
+     "        kd = (e.mode, tag + ((e.label, -1, e.instance),))",
      "        ku = (e.mode, tag + ((e.label, +1, 0),))\n"
      "        kd = (e.mode, tag + ((e.label, -1, 0),))",
      ("tests/test_optics.py::test_modulator_distinct_instances_do_not_interfere",
@@ -108,13 +109,27 @@ MUTANTS = (
      "if False:",
      ("tests/test_circuit.py::test_validate_rejects_detector_on_dead_arm[virgin]",
       "tests/test_circuit.py::test_validate_rejects_detector_on_dead_arm[consumed]")),
-    ("sector-axes-swapped", "src/cfcomm/protocol.py",
-     "    dc = (np.abs(coeffs.sum(axis=1)) ** 2).sum(axis=0)\n"
-     "    cd = (np.abs(coeffs.sum(axis=0)) ** 2).sum(axis=0)",
-     "    dc = (np.abs(coeffs.sum(axis=0)) ** 2).sum(axis=0)\n"
-     "    cd = (np.abs(coeffs.sum(axis=1)) ** 2).sum(axis=0)",
+    ("sector-dc-cd-swapped", PROTOCOL,
+     '("dc", dc), ("cd", cd)',
+     '("dc", cd), ("cd", dc)',
      ("tests/test_protocol.py::test_sector_probabilities_match_closed_form[bit0-table0]",
       "tests/test_protocol.py::test_sector_probs_match_grid_average")),
+    ("shutter-arm-marked-w", PROTOCOL,
+     '(SHUTTER_1, ("z", 1, 0))',
+     '(SHUTTER_1, ("w", 1, 0))',
+     ("tests/test_protocol.py::test_sector_probabilities_match_closed_form[bit0-table0]",
+      "tests/test_protocol.py::test_sector_probs_match_grid_average")),
+    ("mark-keeps-unmarked", PROTOCOL,
+     "state.amps = {(m, tag + (kick,) if m == arm else tag): a",
+     "state.amps |= {(m, tag + (kick,) if m == arm else tag): a",
+     ("tests/test_protocol.py::test_sector_probabilities_match_closed_form[bit0-table0]",
+      "tests/test_protocol.py::test_sector_probabilities_match_closed_form[bit1-table1]",
+      "tests/test_protocol.py::test_sector_probs_match_grid_average")),
+    # the weighted sum rounds differently at each vi even where C == D
+    ("mixture-weighted-sum", PROTOCOL,
+     "return dephased + vi * (c - dephased)",
+     "return vi * c + (1.0 - vi) * dephased",
+     ("tests/test_protocol.py::test_closed_shutter_sectors_do_not_see_the_inner_loop",)),
     ("philox-buffer-pos-3", "src/cfcomm/rand.py",
      '"buffer_pos": 4,',
      '"buffer_pos": 3,',
@@ -176,7 +191,7 @@ MUTANTS = (
      (CLI_TESTS + "test_duplicate_config_key_exits_2",
       CONFIG_TESTS + "test_duplicate_key_is_named[attenuator_t]",
       CONFIG_TESTS + "test_duplicate_key_is_named[eoms.link.alpha]")),
-    ("bitmap-strict-decode", "src/cfcomm/protocol.py",
+    ("bitmap-strict-decode", PROTOCOL,
      'encoding="utf-8", errors="replace"',
      'encoding="utf-8"',
      (CLI_TESTS + "test_raw_bitmap_exits_2",)),
