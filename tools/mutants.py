@@ -125,10 +125,13 @@ MUTANTS = (
      ("tests/test_protocol.py::test_sector_probabilities_match_closed_form[bit0-table0]",
       "tests/test_protocol.py::test_sector_probabilities_match_closed_form[bit1-table1]",
       "tests/test_protocol.py::test_sector_probs_match_grid_average")),
-    # the weighted sum rounds differently at each vi even where C == D
+    # the four-term weighted sum rounds differently at each vi even where
+    # the coherent and dephased inner sectors are equal
     ("mixture-weighted-sum", PROTOCOL,
      "return dephased + vi * (c - dephased)",
-     "return vi * c + (1.0 - vi) * dephased",
+     "return sum(w * s[k][d] for w, k in (\n"
+     "            (vi * vo, \"cc\"), (vi * (1.0 - vo), \"cd\"),\n"
+     "            ((1.0 - vi) * vo, \"dc\"), ((1.0 - vi) * (1.0 - vo), \"dd\")))",
      ("tests/test_protocol.py::test_closed_shutter_sectors_do_not_see_the_inner_loop",)),
     ("philox-buffer-pos-3", "src/cfcomm/rand.py",
      '"buffer_pos": 4,',
