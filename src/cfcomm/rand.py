@@ -5,9 +5,10 @@ Two stream families, both keyed on a single user seed:
 * :func:`substream` — a generator derived from ``SeedSequence(seed,
   spawn_key=path)``.  Robust and collision-free.  :func:`point_poisson`
   draws the per-scan-point counting noise from exactly these streams,
-  ``substream(seed, label, j)`` for point ``j``, without building one:
-  :func:`_point_keys` computes every point's Philox key in one array pass,
-  and a single reused Philox is re-keyed per point.
+  ``substream(seed, label, j)`` for each requested point ``j``, without
+  building one: :func:`_point_keys` computes the points' Philox keys in one
+  array pass, and a single reused Philox is re-keyed per point.  A subset of
+  points draws what a full scan draws at them.
 * :func:`bit_uniforms` — counter-based Philox4x64-10 (Salmon et al.,
   "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Channel use ``i``
   owns the counters ``(b, 0, i, 0)``, ``b = 1, 2, ...``, under one key per
@@ -83,15 +84,16 @@ def _mix(x: int, y):
     return value ^ value >> 16
 
 
-def _point_keys(seed: int, label: int, n: int) -> np.ndarray:
-    """Philox keys of ``substream(seed, label, j)`` for ``j < n``, shape (n, 2).
+def _point_keys(seed: int, label: int, points) -> np.ndarray:
+    """Philox keys of ``substream(seed, label, j)`` for ``j`` in ``points``.
 
-    Row ``j`` is ``SeedSequence(seed, spawn_key=(label, j)).generate_state(2,
-    np.uint64)``.  Its entropy words are the seed's 32-bit words zero-padded
-    to the pool size 4, then ``label``, then ``j``; only the last mixing step
-    sees ``j``, so everything before it runs once in ints and that step on
-    arrays.  ``label`` and every ``j`` must fit one entropy word: ``label <
-    2**32`` and ``n <= 2**32``.
+    Row ``k`` of the ``(len(points), 2)`` result is ``SeedSequence(seed,
+    spawn_key=(label, points[k])).generate_state(2, np.uint64)``.  Its
+    entropy words are the seed's 32-bit words zero-padded to the pool size
+    4, then ``label``, then the point; only the last mixing step sees the
+    point, so everything before it runs once in ints and that step on
+    arrays.  ``label`` and every point must fit one entropy word, that is
+    lie in ``[0, 2**32)``.
     """
     seed = check_seed(seed)
     # a one-word seed's zero padding reads as a zero high word
@@ -104,7 +106,7 @@ def _point_keys(seed: int, label: int, n: int) -> np.ndarray:
             if src != dst:
                 hashed, const = _hashmix(pool[src], const, _SS_MULT_A)
                 pool[dst] = _mix(pool[dst], hashed)
-    for word in (label, np.arange(n, dtype=np.uint32)):
+    for word in (label, np.asarray(points, dtype=np.uint32)):
         for dst in range(4):
             hashed, const = _hashmix(word, const, _SS_MULT_A)
             pool[dst] = _mix(pool[dst], hashed)
@@ -117,18 +119,21 @@ def _point_keys(seed: int, label: int, n: int) -> np.ndarray:
                     axis=1)
 
 
-def point_poisson(seed: int, label: int, lam, size: int | None = None) -> np.ndarray:
-    """``substream(seed, label, j).poisson(lam[j], size)`` for every ``j``.
+def point_poisson(seed: int, label: int, points, lam,
+                  size: int | None = None) -> np.ndarray:
+    """``substream(seed, label, points[k]).poisson(lam[k], size)`` for every ``k``.
 
     One Philox and one Generator serve all points: before point ``j`` the
     bit generator is reset to the state ``substream(seed, label, j)`` starts
-    from (key ``_point_keys(...)[j]``, counter and buffer empty), so every
-    count equals the per-point substream's bit for bit.  ``lam`` is 1-D; the
-    result has shape ``(len(lam),)`` or ``(len(lam), size)``.
+    from (its :func:`_point_keys` key, counter and buffer empty), so every
+    count equals the per-point substream's bit for bit, whatever the order
+    of ``points`` and however often a point repeats.  A full scan of ``n``
+    points passes ``np.arange(n)``.  ``points`` and ``lam`` are 1-D of one
+    length; the result has shape ``(len(lam),)`` or ``(len(lam), size)``.
     """
     lam = np.asarray(lam, dtype=float)
     # Python ints re-key the generator faster than numpy uint64 rows
-    keys = _point_keys(seed, label, len(lam)).tolist()
+    keys = _point_keys(seed, label, points).tolist()
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # a freshly seeded Philox: counter zero, four-word output buffer used up

@@ -8,7 +8,9 @@ Poisson per scan point, with error bars estimated from independent
 Monte-Carlo replicas.  Point ``j`` draws its count from ``substream(seed,
 0, j)`` and its replicas from ``substream(seed, 1, j)``, so results do not
 depend on evaluation order; :func:`~cfcomm.rand.point_poisson` draws them
-all from one re-keyed Philox.  A scan grid holds at most
+from one re-keyed Philox.  A noisy spectrum draws its counts when they are
+read, and only at the points read: peak extraction draws the carrier and
+sideband points, a full read the whole grid.  A scan grid holds at most
 ``MAX_SCAN_POINTS`` points.
 """
 
@@ -31,7 +33,8 @@ PRESENCE_REL_FLOOR = 1e-9
 #: largest mean numpy's Poisson sampler accepts (its int64 bound)
 POISSON_LAM_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 #: most points a scan grid may hold; keeps every point index one 32-bit
-#: SeedSequence word and the noisy path's (points, 100) replicas near 50 MB
+#: SeedSequence word and the (points, 100) replicas of a noisy scan read in
+#: full near 50 MB (counts are drawn when read, peak extraction draws few)
 MAX_SCAN_POINTS = 2**16
 #: most points the side-peak search samples, 2 MHz apart: source etalons
 #: with an FSR up to about 4.2 THz, and about 8 MB per profile array
@@ -145,22 +148,62 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
 # detected spectra
 # --------------------------------------------------------------------------
 
-@dataclass
 class Spectrum:
-    """Sampled detected intensity vs. scan detuning, with counting errors."""
+    """Sampled detected intensity vs. scan detuning, with counting errors.
 
-    detuning_ghz: np.ndarray
-    intensity: np.ndarray
-    stderr: np.ndarray
-    detector: str
-    scan_etalon: Etalon
-    tuning: str = ""
+    A noisy scan from :func:`scan_spectrum` keeps its expected counts and
+    its seed and draws the counts when they are read: :func:`extract_peaks`
+    draws only the points it reads, and reading ``intensity`` or ``stderr``
+    draws the whole grid once.  Each point has its own substreams, so both
+    give the same values at a point.
+    """
 
-    def __post_init__(self):
-        if np.any(np.diff(self.detuning_ghz) <= 0):
+    def __init__(self, detuning_ghz: np.ndarray, intensity: np.ndarray,
+                 stderr: np.ndarray, detector: str, scan_etalon: Etalon,
+                 tuning: str = ""):
+        shape = np.shape(detuning_ghz)
+        if len(shape) != 1 or shape[0] < 2:
+            raise ConfigError(f"a spectrum needs a 1-D grid of at least 2 "
+                              f"points, got shape {shape}")
+        if np.shape(intensity) != shape or np.shape(stderr) != shape:
+            raise ConfigError(
+                f"spectrum intensity and stderr must have the grid's shape "
+                f"{shape}, got {np.shape(intensity)} and {np.shape(stderr)}")
+        if np.any(np.diff(detuning_ghz) <= 0):
             raise ConfigError("spectrum detunings must be strictly increasing")
-        if np.any(self.intensity < 0):
+        if np.any(intensity < 0):
             raise ConfigError("spectrum intensities must be non-negative")
+        self.detuning_ghz, self.detector = detuning_ghz, detector
+        self.scan_etalon, self.tuning = scan_etalon, tuning
+        self._intensity, self._stderr = intensity, stderr
+        #: seed of the counts not drawn yet; until they are, ``_intensity``
+        #: holds their expected values
+        self._seed = None
+
+    def _at(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Intensities and error bars at the grid indices ``points``."""
+        if self._seed is None:
+            return self._intensity[points], self._stderr[points]
+        lam = self._intensity[points]
+        return (point_poisson(self._seed, 0, points, lam).astype(float),
+                np.std(point_poisson(self._seed, 1, points, lam, 100),
+                       axis=1, ddof=1))
+
+    def _draw(self) -> None:
+        if self._seed is not None:
+            self._intensity, self._stderr = self._at(
+                np.arange(self.detuning_ghz.size))
+            self._seed = None
+
+    @property
+    def intensity(self) -> np.ndarray:
+        self._draw()
+        return self._intensity
+
+    @property
+    def stderr(self) -> np.ndarray:
+        self._draw()
+        return self._stderr
 
     def to_csv(self, path) -> None:
         try:
@@ -203,7 +246,8 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
     Expected counts at offset ``d`` are ``N x sum_k q_k T(d - d_k)`` over the
     incoherent components ``(d_k, q_k)``.  With ``noise`` on, each point is
     one Poisson draw and its error bar is the standard deviation of
-    100 further draws, all from per-point substreams of ``seed``.  The grid
+    100 further draws, all from per-point substreams of ``seed``, drawn when
+    the spectrum is read (see :class:`Spectrum`).  The grid
     has ``2 x round(half_range / step) + 1`` points, at most
     ``MAX_SCAN_POINTS``.
     """
@@ -244,19 +288,16 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
         expected += qk * scan.transmission(grid - dk)
     expected *= photons
 
+    spec = Spectrum(detuning_ghz=grid, intensity=expected,
+                    stderr=np.zeros_like(expected), detector=detector,
+                    scan_etalon=scan)
     if noise:
         if expected.max() > POISSON_LAM_MAX:
             raise ConfigError(
                 f"expected count {expected.max():.3g} exceeds the Poisson "
                 f"sampler's limit {POISSON_LAM_MAX:.3g}; lower the photon number")
-        intensity = point_poisson(seed, 0, expected).astype(float)
-        stderr = np.std(point_poisson(seed, 1, expected, 100), axis=1, ddof=1)
-    else:
-        intensity = expected.copy()
-        stderr = np.zeros_like(expected)
-
-    return Spectrum(detuning_ghz=grid, intensity=intensity, stderr=stderr,
-                    detector=detector, scan_etalon=scan)
+        spec._seed = seed  # counts are drawn from the expected ones when read
+    return spec
 
 
 # --------------------------------------------------------------------------
@@ -302,21 +343,6 @@ class PeakTable:
         }
 
 
-def _unmix_heights(s: Spectrum, positions: list[float]) -> np.ndarray:
-    """Solve for component heights with the known Airy line shape.
-
-    The measured spectrum is a sum of one Airy line per component, so the
-    intensities at the component positions form a small linear system whose
-    solution removes every peak's tail from every other peak — this is the
-    baseline subtraction.
-    """
-    idx = [s.nearest_index(p) for p in positions]
-    pts = s.detuning_ghz[idx]
-    a = s.scan_etalon.transmission(pts[:, None] - np.array(positions))
-    y = s.intensity[idx]
-    return np.linalg.solve(a, y)
-
-
 def extract_peaks(s: Spectrum, eoms,
                   calibration: "PeakTable | None" = None) -> PeakTable:
     """Heights, presence decisions and calibration-unit ratios per label.
@@ -339,7 +365,16 @@ def extract_peaks(s: Spectrum, eoms,
     positions = [0.0]
     for lab in labels:
         positions.extend((+freq[lab], -freq[lab]))
-    heights = _unmix_heights(s, positions)
+    # each position's grid point, found once for the heights and error bars
+    idx = [s.nearest_index(p) for p in positions]
+    y, err = s._at(idx)
+    # The measured spectrum is a sum of one Airy line per component, so the
+    # intensities at the component positions form a small linear system
+    # whose solution removes every peak's tail from every other peak: this
+    # is the baseline subtraction.
+    a = s.scan_etalon.transmission(s.detuning_ghz[idx][:, None]
+                                   - np.array(positions))
+    heights = np.linalg.solve(a, y)
     carrier = float(heights[0])
 
     if calibration is not None:
@@ -355,9 +390,7 @@ def extract_peaks(s: Spectrum, eoms,
         h_up = float(heights[1 + 2 * i])
         h_dn = float(heights[2 + 2 * i])
         height = 0.5 * (h_up + h_dn)
-        iu = s.nearest_index(+freq[lab])
-        idn = s.nearest_index(-freq[lab])
-        local_err = 0.5 * math.hypot(float(s.stderr[iu]), float(s.stderr[idn]))
+        local_err = 0.5 * math.hypot(float(err[1 + 2 * i]), float(err[2 + 2 * i]))
         floor = max(PRESENCE_SIGMA * local_err, PRESENCE_REL_FLOOR * abs(carrier))
         ratio = None
         if calibration is not None and carrier > 0.0:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from cfcomm import spectral
 from cfcomm.circuit import build_circuit, propagate, sideband_strengths, weak_trace
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
@@ -252,9 +253,56 @@ def test_noisy_scan_equals_the_per_point_stream_loop(bench, photons, seed):
         warnings.simplefilter("error")
         s = scan_spectrum(c, "det1", bench.scan_etalon, bench.eoms,
                           photons=photons, seed=seed)
+        got = s.intensity, s.stderr  # the counts are drawn here
     intensity, stderr = oracles.noisy_counts(expected, seed)
-    assert np.array_equal(s.intensity, intensity)
-    assert np.array_equal(s.stderr, stderr)
+    assert np.array_equal(got[0], intensity)
+    assert np.array_equal(got[1], stderr)
+
+
+def noisy_bit1(bench, seed=20260):
+    return scan_spectrum(build_circuit(bench, "bit1"), "det1",
+                         bench.scan_etalon, bench.eoms, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 20260, 2**64 - 1])
+def test_peaks_of_a_fresh_noisy_scan_equal_those_of_its_full_read(bench, seed):
+    """Peaks from the points drawn on demand equal the peaks read from the
+    full arrays, and those equal the per-point stream loop."""
+    cal = extract_peaks(noise_off(bench, "calibration", "det0"), bench.eoms)
+    fresh = extract_peaks(noisy_bit1(bench, seed), bench.eoms, calibration=cal)
+    s = noisy_bit1(bench, seed)
+    intensity, stderr = s.intensity, s.stderr
+    full = extract_peaks(s, bench.eoms, calibration=cal)
+    assert fresh.to_jsonable() == full.to_jsonable()
+    want = oracles.noisy_counts(noise_off(bench, "bit1", "det1").intensity, seed)
+    assert np.array_equal(intensity, want[0])
+    assert np.array_equal(stderr, want[1])
+
+
+def test_extract_peaks_draws_only_the_points_it_reads(bench, monkeypatch):
+    """The carrier and the +- sidebands of five modulators: 11 points per
+    label; a later full read draws the whole grid."""
+    real, drawn = spectral.point_poisson, []
+
+    def counting(seed, label, points, lam, size=None):
+        drawn.append((label, list(points)))
+        return real(seed, label, points, lam, size)
+
+    monkeypatch.setattr(spectral, "point_poisson", counting)
+    s = noisy_bit1(bench)
+    assert drawn == []
+    extract_peaks(s, bench.eoms)
+    positions = [0.0] + [f for e in sorted(bench.eoms, key=lambda e: e.label)
+                         for f in (e.freq_ghz, -e.freq_ghz)]
+    want = [s.nearest_index(p) for p in positions]
+    assert len(want) == 11 and drawn == [(0, want), (1, want)]
+    drawn.clear()
+    n = s.detuning_ghz.size
+    assert s.stderr.size == s.intensity.size == n
+    assert drawn == [(0, list(range(n))), (1, list(range(n)))]
+    drawn.clear()
+    extract_peaks(s, bench.eoms)
+    assert drawn == []
 
 
 def test_scan_grid_size_is_limited(bench):
@@ -307,6 +355,13 @@ def test_spectrum_validation():
                  "det0", Etalon(8.0, 0.1))
     with pytest.raises(ConfigError, match="non-negative"):
         Spectrum(np.array([0.0, 1.0]), np.array([1.0, -2.0]), np.zeros(2),
+                 "det0", Etalon(8.0, 0.1))
+    # short arrays would write a short CSV; one point has no grid step
+    with pytest.raises(ConfigError, match="grid's shape"):
+        Spectrum(np.array([0.0, 1.0, 2.0]), np.zeros(2), np.zeros(5),
+                 "det0", Etalon(8.0, 0.1))
+    with pytest.raises(ConfigError, match="at least 2 points"):
+        Spectrum(np.array([0.0]), np.zeros(1), np.zeros(1),
                  "det0", Etalon(8.0, 0.1))
 
 

@@ -37,6 +37,7 @@ CIRCUIT = "src/cfcomm/circuit.py"
 CONFIG = "src/cfcomm/config.py"
 PROTOCOL = "src/cfcomm/protocol.py"
 SPECTRAL = "src/cfcomm/spectral.py"
+RAND = "src/cfcomm/rand.py"
 CLI_TESTS = "tests/test_cli.py::"
 CONFIG_TESTS = "tests/test_config.py::"
 
@@ -133,11 +134,20 @@ MUTANTS = (
      "            (vi * vo, \"cc\"), (vi * (1.0 - vo), \"cd\"),\n"
      "            ((1.0 - vi) * vo, \"dc\"), ((1.0 - vi) * (1.0 - vo), \"dd\")))",
      ("tests/test_protocol.py::test_closed_shutter_sectors_do_not_see_the_inner_loop",)),
-    ("philox-buffer-pos-3", "src/cfcomm/rand.py",
+    ("philox-buffer-pos-3", RAND,
      '"buffer_pos": 4,',
      '"buffer_pos": 3,',
      ("tests/test_rand.py::test_point_poisson_equals_per_point_substreams[None-0]",
-      "tests/test_rand.py::test_point_poisson_equals_per_point_substreams[100-0]")),
+      "tests/test_rand.py::test_point_poisson_equals_per_point_substreams[100-0]",
+      "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[None-0]")),
+    # a subset keyed on its positions 0..k-1: a full read cannot see it
+    ("subset-keyed-from-zero", RAND,
+     "np.asarray(points, dtype=np.uint32)",
+     "np.arange(len(points), dtype=np.uint32)",
+     ("tests/test_rand.py::test_point_keys_of_given_points_are_rows_of_the_full_table[0-0]",
+      "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[None-0]",
+      "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[100-0]",
+      "tests/test_spectral.py::test_peaks_of_a_fresh_noisy_scan_equal_those_of_its_full_read[20260]")),
     ("airy-approximate-sin", SPECTRAL,
      "s = np.sin(math.pi * detuning_ghz / self.fsr_ghz)",
      "x = math.pi * detuning_ghz / self.fsr_ghz\n"
@@ -219,7 +229,15 @@ MUTANTS = (
      "axis=1, ddof=1)",
      "axis=1, ddof=0)",
      ("tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1]",
-      "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[5-37]")),
+      "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[5-37]",
+      "tests/test_spectral.py::test_peaks_of_a_fresh_noisy_scan_equal_those_of_its_full_read[0]")),
+    # a full read that stays undrawn redraws from the counts on every read
+    ("full-read-not-kept", SPECTRAL,
+     "                np.arange(self.detuning_ghz.size))\n"
+     "            self._seed = None",
+     "                np.arange(self.detuning_ghz.size))",
+     ("tests/test_spectral.py::test_extract_peaks_draws_only_the_points_it_reads",
+      "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1000000.0]")),
     ("no-poisson-limit", SPECTRAL,
      "if expected.max() > POISSON_LAM_MAX:",
      "if False:",
