@@ -13,10 +13,11 @@ unrolled wiring element for element; keeping that equivalence testable is
 why the unrolled form is the primary representation.
 
 Each circuit is built once per config, preset and modulator choice, and
-propagated once per sideband order: :func:`build_circuit` hands every caller
-the same frozen circuit, and :func:`propagate` hands out copies of one
-shared terminal state, which equal circuits (such as the folded twin) share
-too.
+walked forward once, to first order: :func:`build_circuit` hands every
+caller the same frozen circuit, and :func:`propagate` and
+:func:`propagate_cuts` hand out copies of one shared walk, which equal
+circuits (such as the folded twin) share too.  The second-order detection
+probabilities follow from that walk in closed form.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ PRESETS = ("bit0", "bit1", "calibration")
 POSTSELECTION_FLOOR = 1e-14
 
 #: entries per result cache: tunings and sector tables take at most three
-#: per bench, built circuits and terminal states six in a full commission
+#: per bench, built circuits and forward walks six in a full commission
 #: (three presets, with and without modulators), so a stream of fresh
 #: configs keeps the last few benches and a bounded memory
 RESULT_CACHE_SIZE = 64
@@ -152,35 +153,50 @@ def validate_circuit(c: Circuit) -> None:
 # propagation
 # --------------------------------------------------------------------------
 
-def propagate(circuit: Circuit, max_order: int = 1) -> PhotonState:
-    """Terminal state after every element: a copy of the one shared result
-    per circuit and order, so a caller may change it freely."""
-    return _terminal(circuit, max_order).copy()
-
-
-@lru_cache(maxsize=RESULT_CACHE_SIZE)
-def _terminal(circuit: Circuit, max_order: int) -> PhotonState:
-    """Keyed positionally, so every spelling of one call shares an entry."""
-    state = PhotonState.from_sources(circuit.sources)
-    for e in circuit.elements:
-        state = apply_element(state, e, max_order=max_order)
-    return state
+def propagate(circuit: Circuit) -> PhotonState:
+    """Terminal state: a copy of the circuit's one shared walk, free to change."""
+    return _cuts(circuit)[-1].copy()
 
 
 def propagate_cuts(circuit: Circuit) -> list[PhotonState]:
-    """Forward state at every cut; ``cuts[k]`` is the state after k elements."""
-    state = PhotonState.from_sources(circuit.sources)
-    cuts = [state]
+    """Copies of the forward state at every cut; ``cuts[k]`` follows k elements."""
+    return [state.copy() for state in _cuts(circuit)]
+
+
+@lru_cache(maxsize=RESULT_CACHE_SIZE)
+def _cuts(circuit: Circuit) -> tuple[PhotonState, ...]:
+    """The one first-order forward walk per circuit; never hand these out."""
+    cuts = [PhotonState.from_sources(circuit.sources)]
     for e in circuit.elements:
-        state = apply_element(state, e)
-        cuts.append(state)
-    return cuts
+        cuts.append(apply_element(cuts[-1], e))
+    return tuple(cuts)
 
 
 def detection_probs(circuit: Circuit, max_order: int = 1) -> dict[str, float]:
-    """Probability collected by each detector (all sidebands included)."""
-    terminal = propagate(circuit, max_order=max_order)
-    return {d: terminal.mode_prob(d) for d in sorted(circuit.detectors)}
+    """Probability collected by each detector, all sidebands included, in
+    the first-order sideband model or, with ``max_order`` 2, the second.
+
+    At second order, modulator pass ``k`` also kicks each tagged component
+    on its arm into two new, distinct tags, ``alpha_k`` times its amplitude
+    each, which later modulators leave alone: they add in intensity and
+    reach detector ``d`` through the modulator-free transfer, of amplitude
+    ``conj(B_d[k].amp(arm_k))`` for ``B_d = backward_cuts(circuit, d)``.
+    So ``p2(d) = p1(d) + sum_k 2 alpha_k^2 W_k |B_d[k].amp(arm_k)|^2``, with
+    ``W_k`` the summed ``|a|^2`` of the tagged components on that arm in
+    ``F[k]``, the first-order forward cut just before the pass.
+    """
+    if max_order not in (1, 2):
+        raise ConfigError(f"sideband order must be 1 or 2, got {max_order!r}")
+    cuts = _cuts(circuit)
+    probs = {d: cuts[-1].mode_prob(d) for d in sorted(circuit.detectors)}
+    if max_order == 2:
+        passes = [(k, e, sum(abs(a) ** 2 for tag, a in cuts[k].components(e.mode) if tag))
+                  for k, e in enumerate(circuit.elements) if isinstance(e, Eom)]
+        for d in probs:
+            bwd = backward_cuts(circuit, d)
+            probs[d] += sum(2.0 * e.alpha ** 2 * w * abs(bwd[k].amp(e.mode)) ** 2
+                            for k, e, w in passes)
+    return probs
 
 
 def backward_cuts(circuit: Circuit, detector: str) -> list[PhotonState]:
@@ -194,11 +210,9 @@ def backward_cuts(circuit: Circuit, detector: str) -> list[PhotonState]:
     """
     if detector not in circuit.detectors:
         raise TopologyError(f"unknown detector {detector!r}")
-    state = PhotonState.from_sources(((detector, 1.0),))
-    cuts = [state]
+    cuts = [PhotonState.from_sources(((detector, 1.0),))]
     for e in reversed(circuit.elements):
-        state = apply_adjoint(state, e)
-        cuts.append(state)
+        cuts.append(apply_adjoint(cuts[-1], e))
     cuts.reverse()
     return cuts
 

@@ -52,6 +52,7 @@ def cmd_spectrum(args) -> int:
         half_range_ghz=args.half_range, step_ghz=args.step,
         photons=args.photons, seed=seed, noise=not args.no_noise)
     spec.tuning = args.preset
+    spec.intensity  # the CSV reads the whole grid: draw it once, peaks included
 
     cal_circuit = ci.build_circuit(cfg, "calibration")
     cal_spec = sp.scan_spectrum(

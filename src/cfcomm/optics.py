@@ -18,17 +18,20 @@ evolution, applies ``m^H`` from the out-ports back to the in-ports.  Only
 the modulator, which writes sideband tags forward and is the identity
 backward, has no matrix.  Detectors are not elements: a circuit names the
 arms it reads out after its last element.  A step never changes the state
-it is given, and the terminal states :mod:`cfcomm.circuit` shares between
-callers are handed out as copies, so a caller may change any state it holds.
+it is given, and the states of the one forward walk per circuit that
+:mod:`cfcomm.circuit` shares between callers are handed out as copies, so a
+caller may change any state it holds.
 
 Two modelling choices live here and nowhere else:
 
 * Modulators act to first order: a carrier amplitude ``a`` stays ``a`` and
-  spawns ``alpha * a`` at the up- and down-shifted tags.  Components that
-  already carry the maximum chain length pass through unchanged, so the
-  truncated map is not exactly unitary — the norm grows by
-  ``2 alpha^2 x (power on the arm)`` per pass.  The deficit is tracked, never
-  renormalized (renormalizing would silently distort probability ratios).
+  spawns ``alpha * a`` at the up- and down-shifted tags, and components
+  already tagged pass through unchanged, so the truncated map is not
+  exactly unitary — the norm grows by ``2 alpha^2 x (carrier power on the
+  arm)`` per pass.  The deficit is tracked, never renormalized
+  (renormalizing would silently distort probability ratios).  The
+  second-order correction is computed in closed form from first-order
+  states, by :func:`cfcomm.circuit.detection_probs`.
 
 * Each physical modulator pass stamps its own ``instance`` index into the
   tag.  Components created by different passes of the same modulator
@@ -176,15 +179,10 @@ class Eom:
 Element = Union[Linear, Eom]
 
 
-def apply_element(state: PhotonState, e: Element, max_order: int = 1) -> PhotonState:
-    """State after one element (pure: the input state is left untouched).
-
-    ``max_order`` caps the sideband chain length a modulator may extend;
-    1 is the standard first-order model, 2 adds the doubly-shifted terms
-    used only to bound the truncation error.
-    """
+def apply_element(state: PhotonState, e: Element) -> PhotonState:
+    """State after one element (pure: the input state is left untouched)."""
     if isinstance(e, Eom):
-        return _modulate(state, e, max_order)
+        return _modulate(state, e)
     return _transfer(state, e, adjoint=False)
 
 
@@ -253,21 +251,16 @@ def _transfer(state: PhotonState, e: Linear, adjoint: bool) -> PhotonState:
     return out
 
 
-def _modulate(state: PhotonState, e: Eom, max_order: int) -> PhotonState:
-    """Forward modulator pass: each input component radiates two sidebands."""
+def _modulate(state: PhotonState, e: Eom) -> PhotonState:
+    """Forward modulator pass, to first order: the carrier on the arm
+    radiates ``alpha`` of its amplitude into each sideband; tagged
+    components pass unchanged."""
     out = state.copy()
     amps = out.amps
-    alpha = complex(e.alpha)
-    # snapshot (key, amplitude) first: each INPUT component radiates
-    # independently, so freshly written sidebands must not be re-read
-    for key, a in [(k, amps[k]) for k in amps if k[0] == e.mode]:
-        tag = key[1]
-        if len(tag) >= max_order:
-            continue  # already at the truncation depth: passes unchanged
-        if a == 0j or e.alpha == 0.0:
-            continue
-        ku = (e.mode, tag + ((e.label, +1, e.instance),))
-        kd = (e.mode, tag + ((e.label, -1, e.instance),))
-        amps[ku] = amps.get(ku, 0j) + alpha * a
-        amps[kd] = amps.get(kd, 0j) + alpha * a
+    a = amps.get((e.mode, CARRIER), 0j)
+    if a == 0j or e.alpha == 0.0:
+        return out
+    for sign in (+1, -1):
+        key = (e.mode, ((e.label, sign, e.instance),))
+        amps[key] = amps.get(key, 0j) + complex(e.alpha) * a
     return out

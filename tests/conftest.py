@@ -28,3 +28,20 @@ def reference_dict() -> dict:
     """The packaged reference config as parsed JSON, for tests to edit."""
     text = (resources.files("cfcomm") / "data" / "reference-bench.json").read_text()
     return json.loads(text)
+
+
+def order_two_matches_the_walk(c) -> None:
+    """Closed-form order-2 detection probabilities of a circuit against the
+    order-2 reference walk of ``oracles``, and their excess over order 1
+    against the walk's sum over its two-kick components."""
+    import pytest
+
+    import oracles
+    from cfcomm.circuit import detection_probs
+
+    walk = oracles.order2_terminal(c)
+    p1, p2 = detection_probs(c), detection_probs(c, max_order=2)
+    for d in c.detectors:
+        assert p2[d] == pytest.approx(oracles.detector_prob(walk, d), rel=1e-13)
+        two = oracles.detector_prob(walk, d, (2,))
+        assert p2[d] - p1[d] == pytest.approx(two, rel=1e-10, abs=0.0)

@@ -220,6 +220,47 @@ def locked_rf_pass(amps: dict, mode: str, label: str, alpha: float,
     return out
 
 
+def order2_pass(amps: dict, mode: str, label: str, alpha: float,
+                instance: int) -> dict:
+    """One modulator pass of the order-2 model: every component on ``mode``
+    with fewer than two kicks, carrier and one-kick alike, radiates
+    ``alpha`` times its amplitude into both sidebands of this pass, in
+    insertion order; two-kick components pass unchanged."""
+    out = dict(amps)
+    for (m, tag), a in amps.items():
+        if m != mode or len(tag) >= 2 or a == 0j or alpha == 0.0:
+            continue
+        for sign in (+1, -1):
+            key = (m, tag + ((label, sign, instance),))
+            out[key] = out.get(key, 0j) + complex(alpha) * a
+    return out
+
+
+def order2_terminal(circuit) -> dict:
+    """The order-2 walk: ``(arm, tag) -> amplitude`` after every element.
+
+    Port maps (elements with ``m``) go through :func:`transfer`; modulators
+    (elements with ``alpha``) through :func:`order2_pass`.  It is the
+    reference for the package's closed-form second order.
+    """
+    amps: dict = {}
+    for mode, a in circuit.sources:
+        amps[(mode, ())] = amps.get((mode, ()), 0j) + complex(a)
+    for e in circuit.elements:
+        if hasattr(e, "m"):
+            amps = transfer(amps, e.ins, e.outs, e.m, adjoint=False)
+        else:
+            amps = order2_pass(amps, e.mode, e.label, e.alpha, e.instance)
+    return amps
+
+
+def detector_prob(amps: dict, detector: str, kicks=(0, 1, 2)) -> float:
+    """Probability on a detector arm over the tags with the given numbers
+    of kicks, summed in insertion order."""
+    return sum((abs(a) ** 2 for (m, tag), a in amps.items()
+                if m == detector and len(tag) in kicks), 0.0)
+
+
 # --------------------------------------------------------------------------
 # etalons
 # --------------------------------------------------------------------------

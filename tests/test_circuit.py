@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,12 +12,13 @@ from cfcomm import circuit
 from cfcomm.circuit import (Circuit, Tuning, build_circuit, calibration_tuning,
                             detection_probs, preset_tuning, propagate,
                             propagate_cuts, solve_tuning, validate_circuit)
-from cfcomm.config import reference_device
+from cfcomm.config import load_config, reference_device
 from cfcomm.errors import ConfigError, TopologyError
 from cfcomm.optics import (Attenuator, Beamsplitter, Block, Eom, Mirror, PhaseShift,
                            PhotonState, apply_element)
 
 import oracles
+from conftest import order_two_matches_the_walk
 
 
 @pytest.fixture(scope="module")
@@ -42,23 +44,30 @@ def test_calibration_tuning_flips_to_bright(bench):
 
 
 def test_result_caches_stay_bounded_over_fresh_configs(bench):
-    """A stream of distinct configs keeps at most RESULT_CACHE_SIZE each."""
+    """A stream of distinct configs, and circuits, keeps at most
+    RESULT_CACHE_SIZE each."""
     from cfcomm.protocol import sector_probs
     for seed in range(circuit.RESULT_CACHE_SIZE + 5):
-        cfg = dataclasses.replace(bench, seed=seed)
+        cfg = dataclasses.replace(bench, seed=seed, attenuator_t=0.2 + seed / 1e3)
         solve_tuning(cfg), calibration_tuning(cfg), sector_probs(cfg, "bit1")
+        detection_probs(build_circuit(cfg, "bit1"), max_order=2)
+    assert circuit._cuts.cache_info().misses >= circuit.RESULT_CACHE_SIZE + 5
     for fn in (solve_tuning, calibration_tuning, sector_probs,
-               circuit._built, circuit._terminal):
+               circuit._built, circuit._cuts):
         assert fn.cache_info().currsize <= circuit.RESULT_CACHE_SIZE
 
 
-# -- shared circuits and terminal states -------------------------------------
+# -- shared circuits and forward walks ---------------------------------------
 
-def uncached_terminal(c: Circuit, max_order: int) -> PhotonState:
+def uncached_terminal(c: Circuit) -> PhotonState:
     state = PhotonState.from_sources(c.sources)
     for e in c.elements:
-        state = apply_element(state, e, max_order=max_order)
+        state = apply_element(state, e)
     return state
+
+
+def items(state: PhotonState) -> str:
+    return repr(list(state.amps.items()))
 
 
 def test_build_circuit_returns_one_shared_circuit(bench):
@@ -73,35 +82,89 @@ def test_propagate_hands_out_copies(bench):
     """Changing a returned state leaves the next result as it was."""
     c = build_circuit(bench, "bit0")
     first = propagate(c)
-    want = repr(list(first.amps.items()))
+    want = items(first)
     first.amps[("det0", ())] = 5.0 + 0j
     first.amps.pop(next(iter(first.amps)))
     first.amps[("stray", ())] = 1j
-    assert repr(list(propagate(c).amps.items())) == want
-    assert repr(list(uncached_terminal(c, 1).amps.items())) == want
+    assert items(propagate(c)) == want
+    assert items(uncached_terminal(c)) == want
+
+
+def test_propagate_cuts_hands_out_copies(bench):
+    """Changing every returned cut, or the list, leaves the next walk, the
+    terminal state and the order-2 closed form as they were."""
+    c = build_circuit(bench, "bit1")
+    first = propagate_cuts(c)
+    want = [items(s) for s in first]
+    p2 = detection_probs(c, max_order=2)
+    for s in first:
+        s.amps.clear()
+        s.amps[("stray", ())] = 1j
+    first.pop()
+    assert [items(s) for s in propagate_cuts(c)] == want
+    assert items(propagate(c)) == want[-1]
+    assert detection_probs(c, max_order=2) == p2
+    assert propagate_cuts(c)[0] is not propagate_cuts(c)[0]
+
+
+@pytest.mark.parametrize("preset", circuit.PRESETS)
+@pytest.mark.parametrize("include_eoms", [False, True])
+def test_terminal_state_is_the_last_forward_cut(bench, preset, include_eoms):
+    c = build_circuit(bench, preset, include_eoms=include_eoms)
+    cuts = propagate_cuts(c)
+    assert len(cuts) == len(c.elements) + 1
+    assert items(propagate(c)) == items(cuts[-1]) == items(uncached_terminal(c))
 
 
 def test_spellings_of_one_propagation_share_a_cache_entry(bench):
+    """The terminal state, the cuts, both orders of the detection
+    probabilities and the two-state vector read one forward walk."""
     c = build_circuit(bench, "calibration")
-    circuit._terminal.cache_clear()
+    circuit._cuts.cache_clear()
     propagate(c)
-    propagate(c, max_order=1)
-    propagate(c, 1)
+    propagate_cuts(c)
     detection_probs(c)
-    info = circuit._terminal.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    detection_probs(c, 2)
+    detection_probs(c, max_order=2)
+    circuit.two_state_vector(c, "det0")
+    info = circuit._cuts.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
 
 
 @pytest.mark.parametrize("first", [1, 2])
-def test_order_two_never_reads_the_order_one_entry(bench, first):
+def test_both_orders_read_one_forward_walk(bench, first):
+    """Whichever order is asked first, both read the one first-order walk
+    and equal the order-2 reference walk: order 1 bit for bit on the tags
+    with fewer than two kicks, order 2 within rounding."""
     c = build_circuit(bench, "bit1")
-    circuit._terminal.cache_clear()
-    got = {order: propagate(c, max_order=order) for order in (first, 3 - first)}
-    assert circuit._terminal.cache_info().misses == 2
-    for order, state in got.items():
-        assert repr(list(state.amps.items())) == repr(
-            list(uncached_terminal(c, order).amps.items()))
-    assert len(got[2].amps) > len(got[1].amps)
+    circuit._cuts.cache_clear()
+    got = {order: detection_probs(c, max_order=order)
+           for order in (first, 3 - first)}
+    assert circuit._cuts.cache_info().misses == 1
+    walk = oracles.order2_terminal(c)
+    assert len(walk) > len(propagate(c).amps)
+    for d in c.detectors:
+        assert got[1][d] == oracles.detector_prob(walk, d, (0, 1))
+        assert got[2][d] == pytest.approx(oracles.detector_prob(walk, d),
+                                          rel=1e-13)
+        assert got[2][d] > got[1][d]
+
+
+ASYMMETRIC_BENCH = Path(__file__).with_name("data") / "asymmetric-bench.json"
+
+
+@pytest.mark.parametrize("preset", circuit.PRESETS)
+@pytest.mark.parametrize("which", ["reference", "fitted", "asymmetric"])
+def test_order_two_closed_form_matches_the_walk(preset, which):
+    cfg = (load_config(ASYMMETRIC_BENCH) if which == "asymmetric"
+           else reference_device(fitted=which == "fitted"))
+    order_two_matches_the_walk(build_circuit(cfg, preset))
+
+
+@pytest.mark.parametrize("order", [0, 3, -1, 1.5, "2"])
+def test_detection_probs_refuses_other_orders(bench, order):
+    with pytest.raises(ConfigError, match="order must be 1 or 2"):
+        detection_probs(build_circuit(bench, "bit0"), max_order=order)
 
 
 def test_tuning_matches_closed_form_at_uneven_split(bench):

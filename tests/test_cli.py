@@ -46,6 +46,25 @@ def test_spectrum_writes_csv_and_peak_table(tmp_path, capsys):
     assert not table["labels"]["A"]["present"]
 
 
+def test_noisy_spectrum_draws_each_point_once(tmp_path, capsys, monkeypatch):
+    """The CSV reads the whole grid, so it is drawn once, before the peaks,
+    which then read the drawn counts: one full draw per label."""
+    from cfcomm import spectral
+    real, drawn = spectral.point_poisson, []
+
+    def counting(seed, label, points, lam, size=None):
+        drawn.append(len(points))
+        return real(seed, label, points, lam, size)
+
+    monkeypatch.setattr(spectral, "point_poisson", counting)
+    out = tmp_path / "scan.csv"
+    code, stdout, _ = run(capsys, "spectrum", "--preset", "bit1",
+                          "--detector", "det1", "--out", str(out))
+    assert code == 0 and json.loads(stdout)["labels"]["B"]["present"]
+    assert drawn == [161, 161]
+    assert len(out.read_text().splitlines()) == 162
+
+
 def test_spectrum_without_a_carrier_leaves_ratios_unset(tmp_path, capsys):
     """Three photons unmix to no positive carrier, so there is no unit to
     express a peak in: every ratio is null, not 0.0 as for an absent peak."""

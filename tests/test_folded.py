@@ -12,6 +12,8 @@ from cfcomm.config import reference_device
 from cfcomm.errors import TopologyError
 from cfcomm.optics import Eom, PhotonState, apply_element
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def bench():
@@ -43,19 +45,35 @@ def test_expansion_probabilities_agree(bench, preset, include_eoms):
 @pytest.mark.parametrize("order", [1, 2])
 def test_twin_gives_identical_terminal_states(bench, preset, order):
     """The rebuilt twin is an equal circuit: whichever of the two propagates
-    first, both read the same items, in order, as a fresh propagation."""
+    first, both read the same items, in order, as a fresh walk, and the
+    same detection probabilities.  At order 2 the fresh walk is the
+    reference one, of which the probabilities are a closed form."""
     direct = build_circuit(bench, preset)
     twin = expand_folded(FoldedDevice.from_config(bench, preset))
     assert twin == direct and twin is not direct
-    fresh = PhotonState.from_sources(twin.sources)
-    for e in twin.elements:
-        fresh = apply_element(fresh, e, max_order=order)
-    want = repr(list(fresh.amps.items()))
+    if order == 1:
+        fresh = PhotonState.from_sources(twin.sources)
+        for e in twin.elements:
+            fresh = apply_element(fresh, e)
+        fresh = fresh.amps
+    else:
+        fresh = oracles.order2_terminal(twin)
+        assert repr(list(oracles.order2_terminal(direct).items())) == repr(
+            list(fresh.items()))
+    probs = {d: oracles.detector_prob(fresh, d) for d in sorted(direct.detectors)}
     for c in (twin, direct):
-        circuit._terminal.cache_clear()
+        circuit._cuts.cache_clear()
         for d in (c, direct if c is twin else twin):
-            assert repr(list(propagate(d, order).amps.items())) == want
-        assert circuit._terminal.cache_info().hits == 1
+            got = detection_probs(d, max_order=order)
+            assert got.keys() == probs.keys()
+            for det, p in probs.items():
+                assert got[det] == pytest.approx(p, rel=1e-13)
+            if order == 1:
+                assert got == probs
+                assert repr(list(propagate(d).amps.items())) == repr(
+                    list(fresh.items()))
+        hits = 3 if order == 1 else 1  # every later read hits the first walk
+        assert circuit._cuts.cache_info()[:2] == (hits, 1)
 
 
 def test_from_config_sets_shutter_by_preset(bench):

@@ -269,15 +269,20 @@ def test_modulator_norm_growth_is_2_alpha_sq(alpha, a):
 
 
 def test_modulator_truncates_at_max_order():
+    """First order: only the carrier radiates, and tagged components pass
+    unchanged; the order-2 reference pass kicks them once more, and agrees
+    with the first-order pass on every tag with fewer than two kicks."""
     e = Eom("a", "B", 1.0, 0.2)
     once = apply_element(two_mode(1.0, 0.0), e)
     twice = apply_element(once, e)
-    # first-order model: existing sidebands pass unchanged
     assert twice.amp("a", B1) == pytest.approx(0.4)
     assert all(len(tag) <= 1 for tag, _ in twice.components("a"))
-    deeper = apply_element(once, e, max_order=2)
-    double = B1 + B1
-    assert deeper.amp("a", double) == pytest.approx(0.04)
+    tagged = PhotonState({("a", B1): 0.3 + 0j, ("b", B1): 0.5j})
+    assert apply_element(tagged, e).amps == tagged.amps
+    deeper = oracles.order2_pass(once.amps, "a", "B", 0.2, 1)
+    assert deeper[("a", B1 + B1)] == pytest.approx(0.04)
+    assert repr({k: a for k, a in deeper.items() if len(k[1]) < 2}) == repr(
+        twice.amps)
 
 
 def test_modulator_distinct_instances_do_not_interfere():

@@ -21,6 +21,7 @@ from cfcomm.protocol import (Bitmap, fit_model, mixture_probs,
 from cfcomm.rand import bit_uniforms
 
 import oracles
+from conftest import order_two_matches_the_walk
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +79,11 @@ def test_sector_probs_match_grid_average(bench, monkeypatch):
         cfg = dataclasses.replace(bench, beamsplitter_r2=r2, attenuator_t="auto")
         for preset in circuit.PRESETS:
             calls.clear()
-            terminals = circuit._terminal.cache_info().misses
+            walks = circuit._cuts.cache_info().misses
             got = sector_probs(cfg, preset)
             c = circuit.build_circuit(cfg, preset, include_eoms=False)
             assert len(calls) == len(c.elements)
-            assert circuit._terminal.cache_info().misses == terminals
+            assert circuit._cuts.cache_info().misses == walks
             want = oracles.grid_sectors(lambda d, t: probs(c, d, t))
             for sector, (p0, p1) in want.items():
                 assert got[sector][0] == pytest.approx(p0, abs=1e-14), sector
@@ -178,6 +179,12 @@ def asymmetric(bench):
         bench, attenuator_t="auto", beamsplitter_r2=tuple(
             (name, float(rng.uniform(0.35, 0.65))) for name in BS_NAMES))
         for _ in range(40)]
+
+
+def test_order_two_closed_form_matches_the_walk_on_asymmetric_benches(asymmetric):
+    for cfg in asymmetric:
+        for preset in circuit.PRESETS:
+            order_two_matches_the_walk(circuit.build_circuit(cfg, preset))
 
 
 def test_fit_matches_root_search(asymmetric):

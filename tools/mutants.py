@@ -38,7 +38,9 @@ CONFIG = "src/cfcomm/config.py"
 PROTOCOL = "src/cfcomm/protocol.py"
 SPECTRAL = "src/cfcomm/spectral.py"
 RAND = "src/cfcomm/rand.py"
+CLI = "src/cfcomm/cli.py"
 CLI_TESTS = "tests/test_cli.py::"
+ORDER2_TESTS = "tests/test_circuit.py::test_order_two_closed_form_matches_the_walk"
 CONFIG_TESTS = "tests/test_config.py::"
 
 #: (name, file, snippet, replacement, node ids that must fail)
@@ -75,25 +77,47 @@ MUTANTS = (
      "o = x0 * a0 + x1 * a1",
      ("tests/test_optics.py::test_step_equals_the_generic_loop[forward-element1]",)),
     ("tag-without-instance", OPTICS,
-     "        ku = (e.mode, tag + ((e.label, +1, e.instance),))\n"
-     "        kd = (e.mode, tag + ((e.label, -1, e.instance),))",
-     "        ku = (e.mode, tag + ((e.label, +1, 0),))\n"
-     "        kd = (e.mode, tag + ((e.label, -1, 0),))",
+     "((e.label, sign, e.instance),)",
+     "((e.label, sign, 0),)",
      ("tests/test_optics.py::test_modulator_distinct_instances_do_not_interfere",
       "tests/test_optics.py::test_modulator_rf_average_matches_instance_model",
       "tests/test_acceptance.py::test_criterion_2_doubling_ratio")),
-    ("terminal-cache-without-order", CIRCUIT,
-     "    return _terminal(circuit, max_order).copy()",
-     "    cache = globals().setdefault(\"_by_circuit\", {})\n"
-     "    if circuit not in cache:\n"
-     "        cache[circuit] = _terminal(circuit, max_order)\n"
-     "    return cache[circuit].copy()",
-     ("tests/test_circuit.py::test_order_two_never_reads_the_order_one_entry[1]",
-      "tests/test_circuit.py::test_order_two_never_reads_the_order_one_entry[2]")),
     ("terminal-handed-out-uncopied", CIRCUIT,
-     "    return _terminal(circuit, max_order).copy()",
-     "    return _terminal(circuit, max_order)",
+     "    return _cuts(circuit)[-1].copy()",
+     "    return _cuts(circuit)[-1]",
      ("tests/test_circuit.py::test_propagate_hands_out_copies",)),
+    ("cuts-handed-out-uncopied", CIRCUIT,
+     "[state.copy() for state in _cuts(circuit)]",
+     "list(_cuts(circuit))",
+     ("tests/test_circuit.py::test_propagate_cuts_hands_out_copies",)),
+    # the cut after the pass holds the sidebands this pass just wrote
+    ("order2-reads-cut-after-pass", CIRCUIT,
+     "cuts[k].components(e.mode)",
+     "cuts[k + 1].components(e.mode)",
+     (ORDER2_TESTS + "[reference-bit1]", ORDER2_TESTS + "[asymmetric-calibration]",
+      "tests/test_circuit.py::test_both_orders_read_one_forward_walk[2]")),
+    ("order2-without-sign-pair", CIRCUIT,
+     "2.0 * e.alpha ** 2 * w",
+     "e.alpha ** 2 * w",
+     (ORDER2_TESTS + "[reference-bit1]", ORDER2_TESTS + "[fitted-bit0]",
+      ORDER2_TESTS + "[asymmetric-calibration]",
+      "tests/test_protocol.py::test_order_two_closed_form_matches_the_walk_on_asymmetric_benches")),
+    ("order2-counts-carrier", CIRCUIT,
+     "cuts[k].components(e.mode) if tag)",
+     "cuts[k].components(e.mode))",
+     (ORDER2_TESTS + "[reference-bit1]", ORDER2_TESTS + "[fitted-calibration]",
+      ORDER2_TESTS + "[asymmetric-bit0]",
+      "tests/test_folded.py::test_twin_gives_identical_terminal_states[2-bit1]")),
+    ("order2-alpha-unsquared", CIRCUIT,
+     "e.alpha ** 2 * w",
+     "e.alpha * w",
+     (ORDER2_TESTS + "[reference-bit0]", ORDER2_TESTS + "[asymmetric-bit1]",
+      "tests/test_protocol.py::test_order_two_closed_form_matches_the_walk_on_asymmetric_benches")),
+    ("order-unchecked", CIRCUIT,
+     "    if max_order not in (1, 2):\n",
+     "    if False:\n",
+     ("tests/test_circuit.py::test_detection_probs_refuses_other_orders[0]",
+      "tests/test_circuit.py::test_detection_probs_refuses_other_orders[3]")),
     ("absent-arm-live", CIRCUIT,
      'arm = status.get(m, "virgin")',
      'arm = status.get(m, "live")',
@@ -238,6 +262,11 @@ MUTANTS = (
      "                np.arange(self.detuning_ghz.size))",
      ("tests/test_spectral.py::test_extract_peaks_draws_only_the_points_it_reads",
       "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1000000.0]")),
+    # the peaks draw their 11 points, then the CSV the whole grid again
+    ("spectrum-drawn-after-peaks", CLI,
+     "    spec.intensity  # the CSV reads the whole grid: draw it once, peaks included\n",
+     "",
+     (CLI_TESTS + "test_noisy_spectrum_draws_each_point_once",)),
     ("no-poisson-limit", SPECTRAL,
      "if expected.max() > POISSON_LAM_MAX:",
      "if False:",
