@@ -52,10 +52,10 @@ def test_twin_gives_identical_terminal_states(bench, preset, order):
     twin = expand_folded(FoldedDevice.from_config(bench, preset))
     assert twin == direct and twin is not direct
     if order == 1:
-        fresh = PhotonState.from_sources(twin.sources)
+        state = PhotonState.from_sources(twin.sources)
         for e in twin.elements:
-            fresh = apply_element(fresh, e)
-        fresh = fresh.amps
+            state = apply_element(state, e)
+        fresh = state.amps
     else:
         fresh = oracles.order2_terminal(twin)
         assert repr(list(oracles.order2_terminal(direct).items())) == repr(
