@@ -6,18 +6,17 @@ section; the inner loop is traversed twice (folded in hardware, unrolled
 here), with a shutter that can close one inner arm.  Five phase modulators
 tag the light wherever it actually flies.
 
-Everything downstream works on an explicit, unrolled :class:`Circuit` — an
-ordered tuple of elements.  The fold is represented by
-:class:`FoldedDevice`, whose :func:`expand_folded` must reproduce the
-unrolled wiring element for element; keeping that equivalence testable is
-why the unrolled form is the primary representation.
+The bench is described once, folded, as a :class:`FoldedDevice`.
+Everything downstream works on the explicit :class:`Circuit` — an ordered
+tuple of elements — that :func:`expand_folded` unrolls from it, writing the
+inner-loop body once and running it for both passes.
 
 Each circuit is built once per config, preset and modulator choice, and
 walked forward once, to first order: :func:`build_circuit` hands every
 caller the same frozen circuit, and :func:`propagate` and
 :func:`propagate_cuts` hand out copies of one shared walk, which equal
-circuits (such as the folded twin) share too.  The second-order detection
-probabilities follow from that walk in closed form.
+circuits share too.  The second-order detection probabilities follow from
+that walk in closed form.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
-from .config import BS_NAMES, EOM_SITES, DeviceConfig, EomSpec
+from .config import EOM_SITES, DeviceConfig, EomSpec
 from .errors import ConfigError, TopologyError, UndefinedPostselectionError
 from .optics import (CARRIER, Attenuator, Beamsplitter, Block, Element, Eom,
                      Mirror, PhaseShift, PhotonState, apply_adjoint,
@@ -299,63 +297,6 @@ def sideband_strengths(report: TraceReport, cfg: DeviceConfig) -> dict[str, floa
 
 
 # --------------------------------------------------------------------------
-# assembly
-# --------------------------------------------------------------------------
-
-def _assemble(r2: Mapping[str, float], eoms: Mapping[str, EomSpec] | None,
-              tun: Tuning, *, shutter: bool) -> Circuit:
-    """Unrolled element list for one pass of the folded bench: both inner
-    passes take ``tun.inner_phase``, and ``eoms`` maps site -> spec (None
-    disables all modulators)."""
-    def bs(key: str, in1: str, in2: str, out1: str, out2: str,
-           name: str) -> Element:
-        return Beamsplitter(r2[key], in1, in2, out1, out2, name)
-
-    def eom(site: str, arm: str, instance: int) -> list[Element]:
-        if eoms is None:
-            return []
-        s = eoms[site]
-        return [Eom(arm, s.label, s.freq_ghz, s.alpha, instance)]
-
-    els: list[Element] = [
-        bs("outer", SOURCE, VAC_ENTRY, ENTRY, REFERENCE, "outer_tap"),
-        Attenuator(REFERENCE, tun.attenuator_t, LOSS_ATT),
-        PhaseShift(REFERENCE, tun.reference_phase, "reference_phase"),
-        *eom("reference", REFERENCE, 1),
-        *eom("entry", ENTRY, 1),
-        bs("inner_near", ENTRY, VAC_INNER_1, SHUTTER_1, OPEN_1, "inner_split_1"),
-        *([Block(SHUTTER_1, LOSS_SHUTTER_1)] if shutter else []),
-        *eom("shutter_arm", SHUTTER_1, 1),
-        PhaseShift(OPEN_1, tun.inner_phase, "inner_phase_1"),
-        *eom("open_arm", OPEN_1, 1),
-        bs("inner_far", SHUTTER_1, OPEN_1, LINK_1, DUMP_INNER, "inner_merge_1"),
-        *eom("link", LINK_1, 1),
-        Mirror(LINK_1, LINK_2),
-        *eom("link", LINK_2, 2),
-        bs("inner_far", LINK_2, VAC_INNER_2, SHUTTER_2, OPEN_2, "inner_split_2"),
-        *([Block(SHUTTER_2, LOSS_SHUTTER_2)] if shutter else []),
-        *eom("shutter_arm", SHUTTER_2, 2),
-        PhaseShift(OPEN_2, tun.inner_phase, "inner_phase_2"),
-        *eom("open_arm", OPEN_2, 2),
-        bs("inner_near", SHUTTER_2, OPEN_2, EXIT, DET1, "inner_merge_2"),
-        bs("outer", EXIT, REFERENCE, DET0, DUMP_EXIT, "outer_merge"),
-    ]
-    open_ports = frozenset({DUMP_INNER, DUMP_EXIT, LOSS_ATT,
-                            LOSS_SHUTTER_1, LOSS_SHUTTER_2})
-    circuit = Circuit(tuple(els), ((SOURCE, 1.0 + 0j),), open_ports, (DET0, DET1))
-    validate_circuit(circuit)
-    return circuit
-
-
-def _r2_table(cfg: DeviceConfig) -> dict[str, float]:
-    return {name: cfg.r2(name) for name in BS_NAMES}
-
-
-def _eom_table(cfg: DeviceConfig) -> dict[str, EomSpec]:
-    return {site: cfg.eom_at(site) for site in EOM_SITES}
-
-
-# --------------------------------------------------------------------------
 # tuning
 # --------------------------------------------------------------------------
 
@@ -420,8 +361,8 @@ def build_circuit(cfg: DeviceConfig, preset: str, *,
 
 @lru_cache(maxsize=RESULT_CACHE_SIZE)
 def _built(cfg: DeviceConfig, preset: str, include_eoms: bool) -> Circuit:
-    return _assemble(_r2_table(cfg), _eom_table(cfg) if include_eoms else None,
-                     preset_tuning(cfg, preset), shutter=(preset == "bit1"))
+    return expand_folded(FoldedDevice.from_config(cfg, preset),
+                         include_eoms=include_eoms)
 
 
 # --------------------------------------------------------------------------
@@ -475,10 +416,49 @@ class FoldedDevice:
 
 
 def expand_folded(dev: FoldedDevice, *, include_eoms: bool = True) -> Circuit:
-    """Unroll the folded bench into the explicit two-pass circuit."""
-    r2 = {"outer": dev.outer_r2, "inner_near": dev.inner_near_r2,
-          "inner_far": dev.inner_far_r2}
-    eoms = {e.site: e for e in dev.eoms} if include_eoms else None
-    return _assemble(r2, eoms, Tuning(dev.attenuator_t, dev.inner_phase,
-                                      dev.reference_phase),
-                     shutter=dev.shutter_closed)
+    """Unroll the folded bench into the explicit two-pass circuit.
+
+    The inner-loop body is written once and run for each pass, which stamps
+    its index on the element names and on the modulators it meets::
+
+        pass  enters on  splits at   into                       merges at   out to
+        1     entry      inner_near  shutter_arm_1, open_arm_1  inner_far   link_1, dump_inner
+        2     link_2     inner_far   shutter_arm_2, open_arm_2  inner_near  exit, det1
+
+    Between the passes the link modulator acts on ``link_1`` and, after the
+    fold mirror, on ``link_2``.  The mirror sends the light back through
+    the loop the way it came, so pass 2 meets the far splitter first and
+    merges at the near one, whose other output is det1.
+    """
+    eoms = {e.site: e for e in dev.eoms} if include_eoms else {}
+
+    def eom(site: str, arm: str, instance: int) -> list[Element]:
+        s = eoms.get(site)
+        return [Eom(arm, s.label, s.freq_ghz, s.alpha, instance)] if s else []
+
+    def inner_pass(n: int, into: str, split_r2: float, vacuum: str, shut: str,
+                   open_: str, loss: str, merge_r2: float, merged: str,
+                   dumped: str) -> list[Element]:
+        return [Beamsplitter(split_r2, into, vacuum, shut, open_, f"inner_split_{n}"),
+                *([Block(shut, loss)] if dev.shutter_closed else []),
+                *eom("shutter_arm", shut, n),
+                PhaseShift(open_, dev.inner_phase, f"inner_phase_{n}"),
+                *eom("open_arm", open_, n),
+                Beamsplitter(merge_r2, shut, open_, merged, dumped, f"inner_merge_{n}")]
+
+    els = (Beamsplitter(dev.outer_r2, SOURCE, VAC_ENTRY, ENTRY, REFERENCE, "outer_tap"),
+           Attenuator(REFERENCE, dev.attenuator_t, LOSS_ATT),
+           PhaseShift(REFERENCE, dev.reference_phase, "reference_phase"),
+           *eom("reference", REFERENCE, 1),
+           *eom("entry", ENTRY, 1),
+           *inner_pass(1, ENTRY, dev.inner_near_r2, VAC_INNER_1, SHUTTER_1, OPEN_1,
+                       LOSS_SHUTTER_1, dev.inner_far_r2, LINK_1, DUMP_INNER),
+           *eom("link", LINK_1, 1), Mirror(LINK_1, LINK_2), *eom("link", LINK_2, 2),
+           *inner_pass(2, LINK_2, dev.inner_far_r2, VAC_INNER_2, SHUTTER_2, OPEN_2,
+                       LOSS_SHUTTER_2, dev.inner_near_r2, EXIT, DET1),
+           Beamsplitter(dev.outer_r2, EXIT, REFERENCE, DET0, DUMP_EXIT, "outer_merge"))
+    open_ports = frozenset({DUMP_INNER, DUMP_EXIT, LOSS_ATT,
+                            LOSS_SHUTTER_1, LOSS_SHUTTER_2})
+    circuit = Circuit(els, ((SOURCE, 1.0 + 0j),), open_ports, (DET0, DET1))
+    validate_circuit(circuit)
+    return circuit

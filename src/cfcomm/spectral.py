@@ -253,6 +253,8 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
     """
     from .circuit import propagate  # deferred: keeps module imports acyclic
 
+    if detector not in circuit.detectors:  # before any walk
+        raise TopologyError(f"unknown detector {detector!r}")
     if not 0.0 < photons < math.inf:
         raise ConfigError(f"photon number must be positive and finite, got {photons}")
     check_seed(seed)  # noise-free scans too: one seed range everywhere
@@ -277,10 +279,7 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
             f"modulation frequency {max(freqs.values())} GHz; peaks will fall "
             "outside the window", stacklevel=2)
 
-    terminal = propagate(circuit)
-    if detector not in circuit.detectors:
-        raise TopologyError(f"unknown detector {detector!r}")
-    comps = detector_components(terminal, detector, freqs)
+    comps = detector_components(propagate(circuit), detector, freqs)
 
     grid = np.arange(-n_half, n_half + 1, dtype=float) * step_ghz
     expected = np.zeros_like(grid)

@@ -45,3 +45,38 @@ def order_two_matches_the_walk(c) -> None:
         assert p2[d] == pytest.approx(oracles.detector_prob(walk, d), rel=1e-13)
         two = oracles.detector_prob(walk, d, (2,))
         assert p2[d] - p1[d] == pytest.approx(two, rel=1e-10, abs=0.0)
+
+
+def oracle_listing(cfg, preset: str, include_eoms: bool = True) -> list:
+    """The hand-unrolled bench of ``oracles.bench_listing`` for one preset:
+    reflectances and modulators from the config's fields, the knobs from
+    the preset's tuning, the shutters closed for bit 1."""
+    import oracles
+    from cfcomm.circuit import preset_tuning
+
+    tun = preset_tuning(cfg, preset)
+    eoms = ({e.site: (e.label, e.freq_ghz, e.alpha) for e in cfg.eoms}
+            if include_eoms else {})
+    r2 = {name: cfg.r2(name) for name in ("outer", "inner_near", "inner_far")}
+    return oracles.bench_listing(r2, eoms, tun.attenuator_t, tun.inner_phase,
+                                 tun.reference_phase, shutter=(preset == "bit1"))
+
+
+def as_listing(c) -> list:
+    """A circuit's elements as the ``(name, ins, outs, m)`` tuples of
+    ``oracles.bench_listing``."""
+    from cfcomm.optics import Eom
+
+    return [("modulator", (e.mode,), (e.mode,), (e.label, e.freq_ghz, e.alpha, e.instance))
+            if isinstance(e, Eom) else (e.name, e.ins, e.outs, e.m) for e in c.elements]
+
+
+def listing_walk_gap(c, listing) -> float:
+    """Largest gap between a circuit's detection probabilities and those of
+    the oracle walk of a listing."""
+    import oracles
+    from cfcomm.circuit import detection_probs
+
+    amps = oracles.listing_terminal(listing)
+    return max(abs(p - oracles.detector_prob(amps, d))
+               for d, p in detection_probs(c).items())

@@ -16,6 +16,22 @@ Conventions (must match the package's fixed choice):
     IN -> BS1a -> {A1 transmitted, B1 reflected} -> BS1b -> {M1, ESC1};
     mirror M1 -> M2; M2 -> BS2a -> {A2, B2} -> BS2b -> {OUT, D1};
     (OUT, C) -> BS3 -> {D0, ESC2}.  Tuning phases sit on B1, B2 and C.
+
+The hand-unrolled listing (:func:`bench_listing`) uses the package's arm
+and splitter names instead; they map onto the names above as
+
+    SRC  source          BS0   outer_tap (outer)       BS3   outer_merge (outer)
+    IN   entry           BS1a  inner_split_1 (inner_near)
+    C    reference       BS1b  inner_merge_1 (inner_far)
+    A1   shutter_arm_1   BS2a  inner_split_2 (inner_far)
+    B1   open_arm_1      BS2b  inner_merge_2 (inner_near)
+    M1   link_1          ESC1  dump_inner
+    M2   link_2          OUT   exit
+    A2   shutter_arm_2   D0    det0, D1 det1
+    B2   open_arm_2      ESC2  dump_exit
+
+and the modulator sites onto them as shutter_arm -> A1/A2, open_arm ->
+B1/B2, reference -> C, entry -> IN and link -> M1/M2.
 """
 
 from __future__ import annotations
@@ -259,6 +275,97 @@ def detector_prob(amps: dict, detector: str, kicks=(0, 1, 2)) -> float:
     of kicks, summed in insertion order."""
     return sum((abs(a) ** 2 for (m, tag), a in amps.items()
                 if m == detector and len(tag) in kicks), 0.0)
+
+
+# --------------------------------------------------------------------------
+# the bench unrolled by hand
+# --------------------------------------------------------------------------
+
+def bench_listing(r2: dict, eoms: dict, attenuator_t: float, inner_phase: float,
+                  reference_phase: float, shutter: bool) -> list[tuple]:
+    """The nested bench unrolled, element by element in the order light
+    meets them, as plain ``(name, ins, outs, m)`` tuples.
+
+    ``r2`` maps ``outer``, ``inner_near`` and ``inner_far`` to reflectances;
+    ``eoms`` maps a modulator site to ``(label, freq_ghz, alpha)`` and is
+    empty for a bench without modulators.  A modulator is listed as
+    ``("modulator", (arm,), (arm,), (label, freq_ghz, alpha, instance))``,
+    with instance 2 on the second inner pass.  The mirror sends the light
+    back through the inner loop, so the second pass splits at ``inner_far``
+    and merges at ``inner_near``.  With ``shutter`` set, both shutter arms
+    are blocked, each right after its split.
+    """
+    def bs(key, in1, in2, out1, out2, name):
+        r, t = math.sqrt(r2[key]), math.sqrt(1.0 - r2[key])
+        return (name, (in1, in2), (out1, out2), ((t, 1j * r), (1j * r, t)))
+
+    def phase(arm, phi, name):
+        return (name, (arm,), (arm,), ((cmath.exp(1j * phi),),))
+
+    def block(arm, loss):
+        return [("shutter", (arm,), (arm, loss), ((0.0,), (1.0,)))] if shutter else []
+
+    def eom(site, arm, instance):
+        if site not in eoms:
+            return []
+        label, freq, alpha = eoms[site]
+        return [("modulator", (arm,), (arm,), (label, freq, alpha, instance))]
+
+    t = attenuator_t
+    return [
+        bs("outer", "source", "vac_entry", "entry", "reference", "outer_tap"),
+        ("attenuator", ("reference",), ("reference", "loss_attenuator"),
+         ((t,), (math.sqrt(1.0 - t * t),))),
+        phase("reference", reference_phase, "reference_phase"),
+        *eom("reference", "reference", 1),
+        *eom("entry", "entry", 1),
+        bs("inner_near", "entry", "vac_inner_1", "shutter_arm_1", "open_arm_1",
+           "inner_split_1"),
+        *block("shutter_arm_1", "loss_shutter_1"),
+        *eom("shutter_arm", "shutter_arm_1", 1),
+        phase("open_arm_1", inner_phase, "inner_phase_1"),
+        *eom("open_arm", "open_arm_1", 1),
+        bs("inner_far", "shutter_arm_1", "open_arm_1", "link_1", "dump_inner",
+           "inner_merge_1"),
+        *eom("link", "link_1", 1),
+        ("mirror", ("link_1",), ("link_2",), ((1.0,),)),
+        *eom("link", "link_2", 2),
+        bs("inner_far", "link_2", "vac_inner_2", "shutter_arm_2", "open_arm_2",
+           "inner_split_2"),
+        *block("shutter_arm_2", "loss_shutter_2"),
+        *eom("shutter_arm", "shutter_arm_2", 2),
+        phase("open_arm_2", inner_phase, "inner_phase_2"),
+        *eom("open_arm", "open_arm_2", 2),
+        bs("inner_near", "shutter_arm_2", "open_arm_2", "exit", "det1",
+           "inner_merge_2"),
+        bs("outer", "exit", "reference", "det0", "dump_exit", "outer_merge"),
+    ]
+
+
+def first_order_pass(amps: dict, mode: str, label: str, alpha: float,
+                     instance: int) -> dict:
+    """One first-order modulator pass: the carrier on ``mode`` radiates
+    ``alpha`` times its amplitude into both sidebands of this pass; tagged
+    components pass unchanged."""
+    out = dict(amps)
+    a = amps.get((mode, ()), 0j)
+    for sign in (+1, -1):
+        key = (mode, ((label, sign, instance),))
+        out[key] = out.get(key, 0j) + alpha * a
+    return out
+
+
+def listing_terminal(listing) -> dict:
+    """The first-order walk of a :func:`bench_listing` from a unit photon
+    on ``source``: ``(arm, tag) -> amplitude`` after the last element."""
+    amps = {("source", ()): 1.0 + 0j}
+    for name, ins, outs, m in listing:
+        if name == "modulator":
+            label, _, alpha, instance = m
+            amps = first_order_pass(amps, ins[0], label, alpha, instance)
+        else:
+            amps = transfer(amps, ins, outs, m, adjoint=False)
+    return amps
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -16,15 +17,16 @@ from cfcomm import circuit as ci
 from cfcomm.circuit import (FoldedDevice, build_circuit, detection_probs,
                             expand_folded, overlap, sideband_strengths,
                             solve_tuning, two_state_vector, weak_trace)
-from cfcomm.config import reference_device
+from cfcomm.config import load_config, reference_device
 from cfcomm.protocol import (Bitmap, model_error_rates, transmit_image,
                              write_pbm)
 from cfcomm.spectral import extract_peaks, scan_spectrum, source_filter_cascade
 
-from conftest import child_env
+from conftest import as_listing, child_env, listing_walk_gap, oracle_listing
 
 BENCH = reference_device()
 FITTED = reference_device(fitted=True)
+ASYMMETRIC = load_config(Path(__file__).with_name("data") / "asymmetric-bench.json")
 
 BRIGHT = [("bit0", "det0"), ("bit1", "det1"), ("calibration", "det0")]
 
@@ -219,12 +221,17 @@ def test_criterion_8_byte_determinism(tmp_path):
 
 
 def test_criterion_9_folding_equivalence():
-    """The folded bench and its unrolled twin share every probability."""
-    worst = 0.0
-    for preset, _ in BRIGHT:
-        direct = detection_probs(build_circuit(BENCH, preset))
-        folded = detection_probs(expand_folded(
-            FoldedDevice.from_config(BENCH, preset)))
-        worst = max(worst, *(abs(folded[d] - direct[d]) for d in direct))
-    check(9, f"terminal probability gap {worst:.2e} <= 1e-12 "
-             "for all three tunings", worst <= 1e-12)
+    """The folded bench unrolls to the hand-written listing of ``oracles``,
+    element for element, and shares every probability with the listing's
+    oracle walk; the asymmetric bench tells the splitters of a pass apart."""
+    same, worst = True, 0.0
+    for cfg in (BENCH, ASYMMETRIC):
+        for preset, _ in BRIGHT:
+            want = oracle_listing(cfg, preset)
+            for c in (build_circuit(cfg, preset),
+                      expand_folded(FoldedDevice.from_config(cfg, preset))):
+                same &= as_listing(c) == want
+                worst = max(worst, listing_walk_gap(c, want))
+    check(9, f"unrolled circuits equal the listing: {same}; probability gap "
+             f"{worst:.2e} <= 1e-12 against its walk, for all three tunings "
+             "of the reference and asymmetric benches", same and worst <= 1e-12)

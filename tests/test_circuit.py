@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from cfcomm import circuit
-from cfcomm.circuit import (Circuit, Tuning, build_circuit, calibration_tuning,
-                            detection_probs, preset_tuning, propagate,
-                            propagate_cuts, solve_tuning, validate_circuit)
+from cfcomm.circuit import (Circuit, FoldedDevice, Tuning, build_circuit,
+                            calibration_tuning, detection_probs, expand_folded,
+                            preset_tuning, propagate, propagate_cuts,
+                            solve_tuning, validate_circuit)
 from cfcomm.config import load_config, reference_device
 from cfcomm.errors import ConfigError, TopologyError
 from cfcomm.optics import (Attenuator, Beamsplitter, Block, Eom, Mirror, PhaseShift,
@@ -175,8 +176,11 @@ def test_tuning_matches_closed_form_at_uneven_split(bench):
     assert tun.attenuator_t == pytest.approx(want, abs=1e-12)
 
 
-def assemble(cfg, tun, *, shutter):
-    return circuit._assemble(circuit._r2_table(cfg), None, tun, shutter=shutter)
+def unrolled(cfg, preset, **knobs):
+    """The modulator-free bench of a preset, with some knobs of its folded
+    device reset."""
+    dev = dataclasses.replace(FoldedDevice.from_config(cfg, preset), **knobs)
+    return expand_folded(dev, include_eoms=False)
 
 
 def carrier_before_consumed(c, arm):
@@ -212,10 +216,9 @@ def test_inner_phase_sits_on_the_dark_fringe(bench, r2o, r2n, r2f):
     the link after the first pass, the exit after the second."""
     cfg, _ = balanceable(bench, r2o, r2n, r2f)
     tun = solve_tuning(cfg)
-    dark = assemble(cfg, tun, shutter=False)
+    dark = unrolled(cfg, "bit0")
     for eps in (-0.1, 0.1):
-        off = assemble(cfg, dataclasses.replace(tun, inner_phase=tun.inner_phase + eps),
-                       shutter=False)
+        off = unrolled(cfg, "bit0", inner_phase=tun.inner_phase + eps)
         for arm in (circuit.LINK_1, circuit.EXIT):
             assert carrier_before_consumed(off, arm) > carrier_before_consumed(dark, arm)
 
@@ -229,10 +232,9 @@ def test_reference_phase_darkens_det0_at_any_fixed_attenuation(bench, r2o, r2n,
         with_r2(bench, outer=r2o, inner_near=r2n, inner_far=r2f), attenuator_t=t)
     tun = solve_tuning(cfg)
     assert tun == Tuning(t, 0.0, 0.0)
-    dark = detection_probs(assemble(cfg, tun, shutter=True))["det0"]
+    dark = detection_probs(unrolled(cfg, "bit1"))["det0"]
     for eps in (-0.1, 0.1):
-        off = assemble(cfg, dataclasses.replace(
-            tun, reference_phase=tun.reference_phase + eps), shutter=True)
+        off = unrolled(cfg, "bit1", reference_phase=tun.reference_phase + eps)
         assert detection_probs(off)["det0"] > dark
 
 
@@ -240,12 +242,11 @@ def test_reference_phase_darkens_det0_at_any_fixed_attenuation(bench, r2o, r2n,
 @settings(max_examples=30, deadline=None)
 def test_calibration_phases_maximize_det0(bench, r2o, r2n, r2f):
     cfg, _ = balanceable(bench, r2o, r2n, r2f)
-    cal = calibration_tuning(cfg)
-    bright = detection_probs(assemble(cfg, cal, shutter=False))["det0"]
+    bright = detection_probs(unrolled(cfg, "calibration"))["det0"]
     for knob in ("inner_phase", "reference_phase"):
         for eps in (-0.1, 0.1):
-            off = dataclasses.replace(cal, **{knob: math.pi + eps})
-            assert detection_probs(assemble(cfg, off, shutter=False))["det0"] < bright
+            off = unrolled(cfg, "calibration", **{knob: math.pi + eps})
+            assert detection_probs(off)["det0"] < bright
 
 
 def test_unbalanceable_bench_is_rejected(bench):
@@ -265,8 +266,7 @@ def test_numeric_attenuator_is_kept_and_phase_still_darkens(bench):
     probs = detection_probs(build_circuit(cfg, "bit1", include_eoms=False))
     assert probs["det0"] > 1e-6
     for eps in (-0.1, 0.1):
-        worse = assemble(cfg, dataclasses.replace(
-            tun, reference_phase=tun.reference_phase + eps), shutter=True)
+        worse = unrolled(cfg, "bit1", reference_phase=tun.reference_phase + eps)
         assert detection_probs(worse)["det0"] > probs["det0"]
 
 
@@ -315,8 +315,7 @@ def test_calibration_probability(bench):
 
 def test_mistuned_inner_phase_leaks(bench):
     tun = solve_tuning(bench)
-    bad = assemble(bench, dataclasses.replace(tun, inner_phase=tun.inner_phase + 0.3),
-                   shutter=False)
+    bad = unrolled(bench, "bit0", inner_phase=tun.inner_phase + 0.3)
     assert detection_probs(bad)["det1"] > 1e-4
 
 

@@ -1,18 +1,29 @@
-"""Folded (mirror-retraced) bench against its unrolled expansion."""
+"""Folded (mirror-retraced) bench against the hand-unrolled listing."""
 
 import cmath
 import dataclasses
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from cfcomm import circuit
 from cfcomm.circuit import (FoldedDevice, PRESETS, build_circuit,
                             detection_probs, expand_folded, propagate)
-from cfcomm.config import reference_device
+from cfcomm.config import load_config, reference_device
 from cfcomm.errors import TopologyError
 from cfcomm.optics import Eom, PhotonState, apply_element
 
 import oracles
+from conftest import as_listing, listing_walk_gap, oracle_listing
+
+#: the packaged 50/50 bench, and one whose splitters all differ: only there
+#: does a pass that meets its splitters in swapped order show
+BENCHES = (reference_device(),
+           load_config(Path(__file__).with_name("data") / "asymmetric-bench.json"))
+OPEN_PORTS = frozenset({"dump_inner", "dump_exit", "loss_attenuator",
+                        "loss_shutter_1", "loss_shutter_2"})
 
 
 @pytest.fixture(scope="module")
@@ -21,24 +32,52 @@ def bench():
 
 
 @pytest.mark.parametrize("preset", PRESETS)
-def test_expansion_matches_direct_build_exactly(bench, preset):
-    """Same elements in the same order — not merely the same statistics."""
-    direct = build_circuit(bench, preset)
-    unrolled = expand_folded(FoldedDevice.from_config(bench, preset))
-    assert unrolled.elements == direct.elements
-    assert unrolled.sources == direct.sources
-    assert unrolled.open_ports == direct.open_ports
+def test_expansion_matches_direct_build_exactly(preset):
+    """Same elements in the same order as the listing of ``oracles`` — not
+    merely the same statistics — whether built from the config or unrolled
+    from the folded device."""
+    for cfg in BENCHES:
+        want = oracle_listing(cfg, preset)
+        for c in (build_circuit(cfg, preset),
+                  expand_folded(FoldedDevice.from_config(cfg, preset))):
+            assert as_listing(c) == want
+            assert c.sources == (("source", 1.0 + 0j),)
+            assert c.open_ports == OPEN_PORTS
+            assert c.detectors == ("det0", "det1")
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("include_eoms", [False, True])
-def test_expansion_probabilities_agree(bench, preset, include_eoms):
-    direct = detection_probs(build_circuit(bench, preset,
-                                           include_eoms=include_eoms))
-    folded = detection_probs(expand_folded(
-        FoldedDevice.from_config(bench, preset), include_eoms=include_eoms))
-    for det in direct:
-        assert folded[det] == pytest.approx(direct[det], abs=1e-12)
+def test_expansion_probabilities_agree(preset, include_eoms):
+    """The unrolled bench's detection probabilities against the oracle walk
+    of the listing."""
+    for cfg in BENCHES:
+        c = expand_folded(FoldedDevice.from_config(cfg, preset),
+                          include_eoms=include_eoms)
+        assert listing_walk_gap(c, oracle_listing(cfg, preset, include_eoms)) <= 1e-12
+
+
+R2 = st.floats(0.05, 0.95)
+
+
+@given(r2=st.tuples(R2, R2, R2), alphas=st.lists(st.floats(0.0, 0.5), min_size=5,
+                                                 max_size=5),
+       t=st.one_of(st.just("auto"), st.floats(0.05, 1.0)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_drawn_benches_match_the_listing(bench, r2, alphas, t):
+    """Every preset of a drawn bench, with and without modulators, equals
+    the listing element for element."""
+    r2o, r2n, r2f = r2
+    if t == "auto":  # skip benches that cannot be balanced
+        assume(0.0 < oracles.balance_attenuator_t(r2o, r2n, r2f, r2f, r2n, r2o) <= 1.0)
+    cfg = dataclasses.replace(
+        bench, beamsplitter_r2=(("inner_far", r2f), ("inner_near", r2n), ("outer", r2o)),
+        attenuator_t=t,
+        eoms=tuple(dataclasses.replace(e, alpha=a) for e, a in zip(bench.eoms, alphas)))
+    for preset in PRESETS:
+        for include_eoms in (False, True):
+            c = build_circuit(cfg, preset, include_eoms=include_eoms)
+            assert as_listing(c) == oracle_listing(cfg, preset, include_eoms)
 
 
 @pytest.mark.parametrize("preset", PRESETS)

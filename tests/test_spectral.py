@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from cfcomm import spectral
+from cfcomm import circuit, spectral
 from cfcomm.circuit import build_circuit, propagate, sideband_strengths, weak_trace
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
@@ -335,6 +335,15 @@ def test_scan_grid_and_guards(bench):
     with pytest.warns(UserWarning, match="scan range"):
         scan_spectrum(c, "det0", bench.scan_etalon, bench.eoms,
                       half_range_ghz=2.0, noise=False)
+
+
+def test_unknown_detector_is_refused_before_any_walk(bench):
+    """A refused scan neither walks its circuit nor evicts a cached walk."""
+    c = build_circuit(bench, "bit0")
+    circuit._cuts.cache_clear()
+    with pytest.raises(TopologyError, match="detector"):
+        scan_spectrum(c, "det9", bench.scan_etalon, bench.eoms, noise=False)
+    assert circuit._cuts.cache_info()[:2] == (0, 0)  # no hit, no miss
 
 
 @pytest.mark.filterwarnings("ignore:scan range")

@@ -42,6 +42,8 @@ CLI = "src/cfcomm/cli.py"
 CLI_TESTS = "tests/test_cli.py::"
 ORDER2_TESTS = "tests/test_circuit.py::test_order_two_closed_form_matches_the_walk"
 CONFIG_TESTS = "tests/test_config.py::"
+CRITERION_9 = "tests/test_acceptance.py::test_criterion_9_folding_equivalence"
+LISTING_TESTS = "tests/test_folded.py::test_expansion_matches_direct_build_exactly"
 
 #: (name, file, snippet, replacement, node ids that must fail)
 MUTANTS = (
@@ -196,6 +198,27 @@ MUTANTS = (
      ("tests/test_circuit.py::test_calibration_tuning_flips_to_bright",
       "tests/test_circuit.py::test_calibration_phases_maximize_det0",
       "tests/test_circuit.py::test_calibration_probability")),
+    # unrolling faults: criterion 9 compares the circuit with the listing of
+    # tests/oracles.py, and only an asymmetric bench shows swapped splitters
+    ("pass-2-meets-near-first", CIRCUIT,
+     "inner_pass(2, LINK_2, dev.inner_far_r2, VAC_INNER_2, SHUTTER_2, OPEN_2,\n"
+     "                       LOSS_SHUTTER_2, dev.inner_near_r2, EXIT, DET1)",
+     "inner_pass(2, LINK_2, dev.inner_near_r2, VAC_INNER_2, SHUTTER_2, OPEN_2,\n"
+     "                       LOSS_SHUTTER_2, dev.inner_far_r2, EXIT, DET1)",
+     (CRITERION_9, LISTING_TESTS + "[bit0]", LISTING_TESTS + "[calibration]",
+      "tests/test_folded.py::test_expansion_probabilities_agree[True-bit1]",
+      "tests/test_folded.py::test_drawn_benches_match_the_listing")),
+    ("pass-2-link-modulator-instance-1", CIRCUIT,
+     '*eom("link", LINK_2, 2)',
+     '*eom("link", LINK_2, 1)',
+     (CRITERION_9, LISTING_TESTS + "[bit0]", LISTING_TESTS + "[bit1]",
+      "tests/test_folded.py::test_drawn_benches_match_the_listing")),
+    ("shutter-on-pass-1-only", CIRCUIT,
+     "if dev.shutter_closed else []",
+     "if dev.shutter_closed and n == 1 else []",
+     (CRITERION_9, LISTING_TESTS + "[bit1]",
+      "tests/test_folded.py::test_expansion_probabilities_agree[False-bit1]",
+      "tests/test_folded.py::test_drawn_benches_match_the_listing")),
     ("unknown-keys-accepted", CONFIG,
      "    if unknown:\n",
      "    if False:\n",
