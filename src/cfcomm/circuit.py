@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import EOM_SITES, DeviceConfig, EomSpec
+from .config import EOM_SITES, DeviceConfig, EomSpec, hash_once
 from .errors import ConfigError, TopologyError, UndefinedPostselectionError
 from .optics import (CARRIER, Attenuator, Beamsplitter, Block, Element, Eom,
                      Mirror, PhaseShift, PhotonState, apply_adjoint,
@@ -91,6 +91,8 @@ class Circuit:
     sources: tuple[tuple[str, complex], ...]
     open_ports: frozenset[str]
     detectors: tuple[str, ...] = ()
+
+    __hash__ = hash_once
 
 
 def _ports(e: Element) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -29,6 +29,20 @@ EOM_SITES = ("entry", "reference", "shutter_arm", "open_arm", "link")
 MAX_TRIALS_PER_BIN = 2.0 ** 62
 
 
+def hash_once(self) -> int:
+    """``__hash__`` of a frozen dataclass that hashes its fields once.
+
+    Every result-cache lookup hashes its key, and a bench's fields are long
+    tuples of elements; the value is kept on the instance.  Until it is,
+    the instance's ``__dict__`` holds its fields alone, in field order.
+    """
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(self.__dict__.values()))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class EomSpec:
     """One modulator: where it sits, its sideband label, drive, strength."""
@@ -45,7 +59,7 @@ class EomSpec:
         if not isinstance(self.label, str) or not self.label:
             raise ConfigError(
                 f"modulator label must be a non-empty string, got {self.label!r}")
-        if self.freq_ghz <= 0.0:
+        if not self.freq_ghz > 0.0:  # NaN fails it too
             raise ConfigError(f"modulator {self.label}: frequency must be positive")
         if not 0.0 <= self.alpha <= ALPHA_MAX:
             raise ConfigError(
@@ -93,6 +107,8 @@ class DeviceConfig:
     photon_rate_hz: float = 1000.0
     bin_duration_s: float = 1.0
     seed: int = 0
+
+    __hash__ = hash_once
 
     def __post_init__(self):
         labels = [e.label for e in self.eoms]

@@ -172,7 +172,7 @@ class Eom:
             raise ConfigError(
                 f"modulation depth alpha={self.alpha} outside [0, {ALPHA_MAX}]"
                 " (first-order sideband model invalid)")
-        if self.freq_ghz <= 0.0:
+        if not self.freq_ghz > 0.0:  # NaN fails it too
             raise ConfigError(f"modulator frequency must be positive, got {self.freq_ghz}")
 
 

@@ -12,6 +12,11 @@ from one re-keyed Philox.  A noisy spectrum draws its counts when they are
 read, and only at the points read: peak extraction draws the carrier and
 sideband points, a full read the whole grid.  A scan grid holds at most
 ``MAX_SCAN_POINTS`` points.
+
+The worst side peak of a source cascade is searched on a fine grid, but the
+profile is evaluated only where it could reach it: an upper bound per block
+of the grid, from the monotone Lorentzian and from each Airy factor's
+endpoint values away from its comb, rules the other blocks out exactly.
 """
 
 from __future__ import annotations
@@ -33,12 +38,17 @@ PRESENCE_REL_FLOOR = 1e-9
 #: largest mean numpy's Poisson sampler accepts (its int64 bound)
 POISSON_LAM_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 #: most points a scan grid may hold; keeps every point index one 32-bit
-#: SeedSequence word and the (points, 100) replicas of a noisy scan read in
+#: SeedSequence word, the (points, 100) replicas of a noisy scan read in
 #: full near 50 MB (counts are drawn when read, peak extraction draws few)
+#: and the (components, points) transmission array of a scan near 9 MB
+#: for the 17 components a bench sends to one detector at most
 MAX_SCAN_POINTS = 2**16
-#: most points the side-peak search samples, 2 MHz apart: source etalons
-#: with an FSR up to about 4.2 THz, and about 8 MB per profile array
+#: most points of the side-peak grid, 2 MHz apart: source etalons with an
+#: FSR up to about 4.2 THz; the profile is evaluated only on the blocks of
+#: this grid that its bound cannot rule out
 MAX_SIDEPEAK_POINTS = 2**20
+#: side-peak grid points per block of the bounded search
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,16 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
     peaks are searched from ``exclusion_ghz`` (past the central line) out
     to half the largest FSR of the stack, beyond which the pattern of
     comb coincidences starts over, on at most ``MAX_SIDEPEAK_POINTS``
-    points.
+    points 2 MHz apart.
+
+    The search is a branch and bound over blocks of that grid, and exact.
+    On a block ``[a, b]`` the Lorentzian is largest at ``a``, and each Airy
+    factor is 1 if a multiple of its FSR lies in the block and otherwise
+    largest at ``a`` or ``b``, since its ``sin^2`` has no zero there.  The
+    product of these maxima bounds the profile on the block.  Only blocks
+    whose bound reaches the maximum of the block with the highest bound are
+    evaluated; every other point lies strictly below that maximum, so the
+    worst side peak is the first maximum of the full grid.
     """
     etalons = tuple(etalons)
     if not etalons:
@@ -133,9 +152,36 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
     if exclusion_ghz <= 2.0 * fwhm:
         raise ConfigError("side-peak exclusion zone must clear the central line")
     grid = np.arange(exclusion_ghz, window + 0.002, 0.002)
-    vals = profile(grid)
-    k = int(np.argmax(vals))
-    worst = float(vals[k]) / peak
+    # bound the profile on each block [a, b] of the grid from above: the
+    # Lorentzian falls with d, so it peaks at a; an Airy factor reaches 1
+    # at a multiple of its FSR, and between two of them its sin^2 has no
+    # zero, so it peaks at a or b
+    starts = np.arange(0, grid.size, _BLOCK)
+    a = grid[starts]
+    b = grid[np.minimum(starts + _BLOCK - 1, grid.size - 1)]
+    bound = 1.0 / (1.0 + (2.0 * a / raw_linewidth_ghz) ** 2)
+    ends = np.stack((a, b))
+    for e in etalons:
+        # widened by 1e-9 FSR, far beyond the rounding of d / FSR, so that a
+        # multiple on an end is never missed
+        comb = np.floor(b / e.fsr_ghz + 1e-9) >= np.ceil(a / e.fsr_ghz - 1e-9)
+        bound *= np.where(comb, 1.0, e.transmission(ends).max(axis=0))
+    # the block of the highest bound sets a floor on the worst side peak;
+    # every block whose bound could reach it is evaluated, in grid order, so
+    # the first maximum of these points is the first maximum of the grid.
+    # The slack is far above the rounding of the bounds.
+    top = starts[np.argmax(bound)]
+    best = profile(grid[top:top + _BLOCK]).max()
+    blocks = starts[bound * (1.0 + 1e-6) >= best]
+    kept = (blocks[:, None] + np.arange(_BLOCK)).ravel()
+    kept = kept[kept < grid.size]
+    vals = profile(grid[kept])
+    i = int(np.argmax(vals))
+    k = int(kept[i])
+    worst = float(vals[i]) / peak
+    if worst == 0.0:
+        raise ConfigError("the cascade's side peaks underflow to zero: their "
+                          "suppression is beyond the float range")
     return CascadeReport(
         effective_linewidth_ghz=fwhm,
         sidepeak_suppression_db=-10.0 * math.log10(worst),
@@ -214,12 +260,23 @@ class Spectrum:
         except OSError as exc:
             raise ConfigError(f"cannot write spectrum {path}: {exc}") from None
 
-    def nearest_index(self, detuning: float) -> int:
-        i = int(np.argmin(np.abs(self.detuning_ghz - detuning)))
+    def nearest_indices(self, detunings) -> np.ndarray:
+        """The grid index nearest each detuning, the first on a tie.
+
+        A detuning more than about half a step off the grid, or NaN, is
+        refused."""
+        detunings = np.asarray(detunings, dtype=float)
+        gap = np.abs(self.detuning_ghz - detunings[:, None])
+        idx = np.argmin(gap, axis=1)
         step = float(self.detuning_ghz[1] - self.detuning_ghz[0])
-        if abs(float(self.detuning_ghz[i]) - detuning) > 0.51 * step:
-            raise ConfigError(f"spectrum does not cover detuning {detuning} GHz")
-        return i
+        off = ~(gap[np.arange(idx.size), idx] <= 0.51 * step)
+        if off.any():
+            raise ConfigError(f"spectrum does not cover detuning "
+                              f"{float(detunings[np.argmax(off)])} GHz")
+        return idx
+
+    def nearest_index(self, detuning: float) -> int:
+        return int(self.nearest_indices([detuning])[0])
 
 
 def detector_components(state: PhotonState, detector_mode: str,
@@ -282,9 +339,11 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
     comps = detector_components(propagate(circuit), detector, freqs)
 
     grid = np.arange(-n_half, n_half + 1, dtype=float) * step_ghz
-    expected = np.zeros_like(grid)
-    for dk, qk in comps:
-        expected += qk * scan.transmission(grid - dk)
+    d = np.array([dk for dk, _ in comps])
+    q = np.array([qk for _, qk in comps])
+    # summed row by row, in component order; no component sums to zeros
+    expected = np.add.reduce(q[:, None] * scan.transmission(grid - d[:, None]),
+                             axis=0)
     expected *= photons
 
     spec = Spectrum(detuning_ghz=grid, intensity=expected,
@@ -365,7 +424,7 @@ def extract_peaks(s: Spectrum, eoms,
     for lab in labels:
         positions.extend((+freq[lab], -freq[lab]))
     # each position's grid point, found once for the heights and error bars
-    idx = [s.nearest_index(p) for p in positions]
+    idx = s.nearest_indices(positions)
     y, err = s._at(idx)
     # The measured spectrum is a sum of one Airy line per component, so the
     # intensities at the component positions form a small linear system

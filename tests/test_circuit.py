@@ -132,6 +132,20 @@ def test_spellings_of_one_propagation_share_a_cache_entry(bench):
     assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
 
 
+def test_cache_keys_hash_once_and_as_their_fields(bench):
+    """A bench and its circuits keep their hash, which equal copies share;
+    a replaced field gives the hash of the new fields."""
+    c = build_circuit(bench, "bit1")
+    for key in (bench, c):
+        copy = dataclasses.replace(key)
+        assert copy is not key and copy == key and hash(copy) == hash(key)
+        fields = tuple(getattr(key, f.name) for f in dataclasses.fields(key))
+        assert hash(key) == hash(fields) and key.__dict__["_hash"] == hash(fields)
+    other = dataclasses.replace(bench, seed=bench.seed + 1)
+    assert hash(other) == hash(tuple(getattr(other, f.name)
+                                     for f in dataclasses.fields(other)))
+
+
 @pytest.mark.parametrize("first", [1, 2])
 def test_both_orders_read_one_forward_walk(bench, first):
     """Whichever order is asked first, both read the one first-order walk

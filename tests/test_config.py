@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from cfcomm.config import config_from_dict, load_config, reference_device
+from cfcomm.config import EomSpec, config_from_dict, load_config, reference_device
 from cfcomm.errors import ConfigError
 
 from conftest import reference_dict
@@ -133,6 +133,13 @@ def test_sidebands_must_be_resolvable_modulo_the_scan_fsr(freq):
     doc = with_value(reference_dict(), ("eoms", "link", "freq_ghz"), freq)
     with pytest.raises(ConfigError, match="analysis linewidth"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("freq", [0.0, -1.0, math.nan])
+def test_modulator_frequency_must_be_positive(freq):
+    """NaN too, which every ordered comparison lets through."""
+    with pytest.raises(ConfigError, match="frequency must be positive"):
+        EomSpec("link", "L", freq, 0.1)
 
 
 def test_sidebands_apart_on_the_fsr_circle_are_accepted():

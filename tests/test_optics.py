@@ -331,3 +331,5 @@ def test_modulator_parameter_validation():
         Eom("a", "B", 1.0, ALPHA_MAX + 0.01)
     with pytest.raises(ConfigError):
         Eom("a", "B", -1.0, 0.1)
+    with pytest.raises(ConfigError, match="frequency"):
+        Eom("a", "B", math.nan, 0.1)

@@ -2,19 +2,21 @@
 
 import math
 import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, reject, settings
 import hypothesis.strategies as st
 
 from cfcomm import circuit, spectral
 from cfcomm.circuit import build_circuit, propagate, sideband_strengths, weak_trace
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
-from cfcomm.spectral import (MAX_SCAN_POINTS, Etalon, PeakTable, Spectrum,
-                             detector_components, extract_peaks, scan_spectrum,
-                             source_filter_cascade)
+from cfcomm.spectral import (MAX_SCAN_POINTS, CascadeReport, Etalon, PeakTable,
+                             Spectrum, detector_components, extract_peaks,
+                             scan_spectrum, source_filter_cascade)
 
 import oracles
 
@@ -145,6 +147,65 @@ def test_source_cascade_bisects_a_narrow_raw_line_to_the_end(bench):
         assert rep.effective_linewidth_ghz == pytest.approx(raw, rel=1e-12, abs=0.0)
 
 
+def full_grid_cascade(etalons, raw, exclusion):
+    """The cascade report with the worst side peak taken as the first
+    ``argmax`` of the profile over the whole side-peak grid."""
+    rep = source_filter_cascade(etalons, raw, exclusion_ghz=exclusion)
+
+    def profile(d):
+        p = 1.0 / (1.0 + (2.0 * d / raw) ** 2)
+        for e in etalons:
+            p *= e.transmission(d)
+        return p
+
+    grid = np.arange(exclusion, rep.window_ghz + 0.002, 0.002)
+    vals = profile(grid)
+    k = int(np.argmax(vals))
+    return rep, CascadeReport(
+        effective_linewidth_ghz=rep.effective_linewidth_ghz,
+        sidepeak_suppression_db=-10.0 * math.log10(float(vals[k]) / profile(0.0)),
+        worst_sidepeak_ghz=float(grid[k]), window_ghz=rep.window_ghz)
+
+
+@st.composite
+def cascades(draw):
+    """1-4 etalons with FSRs of 0.05-400 GHz and finesse up to 1e150, a
+    raw line of 0.1 GHz-10 THz and an exclusion anywhere in the window."""
+    etalons = []
+    for _ in range(draw(st.integers(1, 4))):
+        fsr = draw(st.floats(0.05, 400.0))
+        finesse = 10.0 ** draw(st.floats(0.01, 150.0))
+        etalons.append(Etalon(fsr, fsr / finesse))
+    window = max(e.fsr_ghz for e in etalons) / 2.0
+    return (tuple(etalons), 10.0 ** draw(st.floats(-1.0, 4.0)),
+            window * draw(st.floats(0.0, 1.0, exclude_max=True)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cascade=cascades())
+# the worst side peak lies where an Airy factor still rises at the end of
+# its block: a bound from the block start alone misses it
+@example(cascade=((Etalon(12.1, 2.102), Etalon(255.3, 27.292)), 175.0, 4.9))
+# the worst side peak lies in a block holding a comb tooth of the first
+# etalon: there its factor is 1, above both ends
+@example(cascade=((Etalon(1.9, 0.305), Etalon(75.4, 10.689)), 87.0, 4.9))
+# a profile deep in the subnormal range: its maximum is tied across blocks
+@example(cascade=((Etalon(200.0, 2e-148),), 1.4e-10, 50.0))
+def test_source_cascade_equals_the_full_grid_search(cascade):
+    """Branch and bound over blocks finds the full grid's first maximum."""
+    try:
+        got, want = full_grid_cascade(*cascade)
+    except ConfigError:
+        reject()
+    assert got == want
+
+
+def test_source_cascade_refuses_side_peaks_that_underflow():
+    """Three etalons of finesse 1e150 leave no side peak above zero."""
+    with pytest.raises(ConfigError, match="underflow"):
+        source_filter_cascade([Etalon(100.0, 1e-148)] * 3, 1000.0)
+
+
 def test_source_cascade_rejects_exclusion_inside_the_line(bench):
     with pytest.raises(ConfigError, match="exclusion"):
         source_filter_cascade(bench.source_etalons,
@@ -185,6 +246,24 @@ def test_noise_free_scan_sums_components_in_order_bit_for_bit(bench):
             acc += qk * oracles.airy(fsr, lw, d - dk)
         want.append(acc * 1e6)
     assert len(comps) > 2 and np.array_equal(s.intensity, want)
+
+
+detunings = st.one_of(st.sampled_from([0.0, 2.8, -2.8]), st.floats(-6.0, 6.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(comps=st.lists(st.tuples(detunings, st.floats(0.0, 1.0, exclude_min=True)),
+                      max_size=300))
+def test_scan_sums_drawn_components_like_the_per_component_loop(bench, comps):
+    """Empty, single, many and repeated components, bit for bit."""
+    c = build_circuit(bench, "bit1")
+    with mock.patch.object(spectral, "detector_components", lambda *a: comps):
+        s = scan_spectrum(c, "det1", bench.scan_etalon, bench.eoms, noise=False)
+    want = np.zeros_like(s.detuning_ghz)
+    for dk, qk in comps:
+        want += qk * bench.scan_etalon.transmission(s.detuning_ghz - dk)
+    want *= 1e6
+    assert np.array_equal(s.intensity, want)
 
 
 @pytest.mark.parametrize("preset,detector,present", [
@@ -380,6 +459,44 @@ def test_nearest_index_rejects_off_grid(bench):
     assert s.nearest_index(0.05) == s.detuning_ghz.size // 2 + 1
     with pytest.raises(ConfigError, match="cover"):
         s.nearest_index(1.5)
+
+
+@pytest.mark.filterwarnings("ignore:scan range")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(points=st.lists(st.one_of(st.floats(-1.1, 1.1),
+                                 st.integers(0, 39).map(lambda i: 0.05 * i - 0.975)),
+                       min_size=1, max_size=12))
+def test_nearest_indices_equal_the_per_point_argmin(bench, points):
+    """Midway between two grid points the first wins; past about half a
+    step beyond either end of the grid a point is refused."""
+    s = noise_off(bench, "bit0", "det0", half_range_ghz=1.0)
+    grid, step = s.detuning_ghz, s.detuning_ghz[1] - s.detuning_ghz[0]
+    want = [int(np.argmin(np.abs(grid - p))) for p in points]
+    if all(abs(grid[i] - p) <= 0.51 * step for i, p in zip(want, points)):
+        assert s.nearest_indices(points).tolist() == want
+        assert [s.nearest_index(p) for p in points] == want
+    else:
+        with pytest.raises(ConfigError, match="cover"):
+            s.nearest_indices(points)
+
+
+@pytest.mark.filterwarnings("ignore:scan range")
+def test_nearest_index_refuses_nan(bench):
+    s = noise_off(bench, "bit0", "det0", half_range_ghz=1.0)
+    with pytest.raises(ConfigError, match="cover detuning nan"):
+        s.nearest_index(math.nan)
+    with pytest.raises(ConfigError, match="cover detuning nan"):
+        s.nearest_indices([0.0, math.nan])
+
+
+def test_extract_peaks_refuses_a_nan_modulation_frequency(bench):
+    """Not the grid edge's height: the peak is nowhere on the grid."""
+    s = noise_off(bench, "bit0", "det0")
+    eoms = [SimpleNamespace(label=e.label, alpha=e.alpha,
+                            freq_ghz=math.nan if e.label == "C" else e.freq_ghz)
+            for e in bench.eoms]
+    with pytest.raises(ConfigError, match="cover"):
+        extract_peaks(s, eoms)
 
 
 def test_extract_peaks_calibration_gate(bench):

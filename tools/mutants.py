@@ -44,6 +44,7 @@ ORDER2_TESTS = "tests/test_circuit.py::test_order_two_closed_form_matches_the_wa
 CONFIG_TESTS = "tests/test_config.py::"
 CRITERION_9 = "tests/test_acceptance.py::test_criterion_9_folding_equivalence"
 LISTING_TESTS = "tests/test_folded.py::test_expansion_matches_direct_build_exactly"
+CASCADE_SEARCH_TESTS = "tests/test_spectral.py::test_source_cascade_equals_the_full_grid_search"
 
 #: (name, file, snippet, replacement, node ids that must fail)
 MUTANTS = (
@@ -186,6 +187,30 @@ MUTANTS = (
      # the product's rounding depends on its order: stacks of up to four
      # etalons against a fixed-order oracle see it
      ("tests/test_spectral.py::test_source_cascade_fwhm_equals_the_full_bisection",)),
+    # the worst side peak of each example lies where the mutant's bound is
+    # below the maximum of the top block, or tied with it further on
+    ("cascade-bound-from-block-start", SPECTRAL,
+     "e.transmission(ends).max(axis=0)",
+     "e.transmission(a)",
+     (CASCADE_SEARCH_TESTS,)),
+    ("cascade-comb-blocks-dropped", SPECTRAL,
+     "np.where(comb, 1.0, e.transmission(ends).max(axis=0))",
+     "e.transmission(ends).max(axis=0)",
+     (CASCADE_SEARCH_TESTS,)),
+    ("cascade-kept-blocks-reversed", SPECTRAL,
+     "blocks[:, None] + np.arange(_BLOCK)",
+     "blocks[::-1, None] + np.arange(_BLOCK)",
+     (CASCADE_SEARCH_TESTS,)),
+    ("scan-components-reversed", SPECTRAL,
+     "q[:, None] * scan.transmission(grid - d[:, None])",
+     "q[::-1, None] * scan.transmission(grid - d[::-1, None])",
+     ("tests/test_spectral.py::test_scan_sums_drawn_components_like_the_per_component_loop",
+      "tests/test_spectral.py::test_noise_free_scan_sums_components_in_order_bit_for_bit")),
+    ("nearest-index-takes-nan", SPECTRAL,
+     "off = ~(gap[np.arange(idx.size), idx] <= 0.51 * step)",
+     "off = gap[np.arange(idx.size), idx] > 0.51 * step",
+     ("tests/test_spectral.py::test_nearest_index_refuses_nan",
+      "tests/test_spectral.py::test_extract_peaks_refuses_a_nan_modulation_frequency")),
     ("tuning-outer-ratio-inverted", CIRCUIT,
      't = (1.0 - r2o) / r2o * cfg.r2("inner_near")',
      't = r2o / (1.0 - r2o) * cfg.r2("inner_near")',
