@@ -40,8 +40,9 @@ POISSON_LAM_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 #: most points a scan grid may hold; keeps every point index one 32-bit
 #: SeedSequence word, the (points, 100) replicas of a noisy scan read in
 #: full near 50 MB (counts are drawn when read, peak extraction draws few)
-#: and the (components, points) transmission array of a scan near 9 MB
-#: for the 17 components a bench sends to one detector at most
+#: and each (components, points) array of a scan's transmission near 9 MB
+#: for the 17 components a bench sends to one detector at most (a few are
+#: live at once: about 35 MB at this many points, below a noisy full read)
 MAX_SCAN_POINTS = 2**16
 #: most points of the side-peak grid, 2 MHz apart: source etalons with an
 #: FSR up to about 4.2 THz; the profile is evaluated only on the blocks of

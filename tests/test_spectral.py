@@ -101,15 +101,20 @@ def test_source_cascade_equals_the_scalar_profile_exactly(bench):
     assert rep.sidepeak_suppression_db == -10.0 * math.log10(vals[k] / prof(0.0))
 
 
-def bisected_fwhm(etalons, raw_linewidth):
-    """The cascade's FWHM by 200 full bisection steps, with the profile
-    ``source_filter_cascade`` evaluates."""
+def etalon_profile(etalons, raw_linewidth):
+    """The profile ``source_filter_cascade`` evaluates, of a float or
+    elementwise of an array."""
     def profile(d):
         p = 1.0 / (1.0 + (2.0 * d / raw_linewidth) ** 2)
         for e in etalons:
             p *= e.transmission(d)
         return p
+    return profile
 
+
+def bisected_fwhm(etalons, raw_linewidth):
+    """The cascade's FWHM by 200 full bisection steps."""
+    profile = etalon_profile(etalons, raw_linewidth)
     half = profile(0.0) / 2.0
     lo, hi = 0.0, min(e.linewidth_ghz for e in etalons)
     while profile(hi) > half:
@@ -151,13 +156,7 @@ def full_grid_cascade(etalons, raw, exclusion):
     """The cascade report with the worst side peak taken as the first
     ``argmax`` of the profile over the whole side-peak grid."""
     rep = source_filter_cascade(etalons, raw, exclusion_ghz=exclusion)
-
-    def profile(d):
-        p = 1.0 / (1.0 + (2.0 * d / raw) ** 2)
-        for e in etalons:
-            p *= e.transmission(d)
-        return p
-
+    profile = etalon_profile(etalons, raw)
     grid = np.arange(exclusion, rep.window_ghz + 0.002, 0.002)
     vals = profile(grid)
     k = int(np.argmax(vals))
