@@ -11,12 +11,14 @@ Everything downstream works on the explicit :class:`Circuit` — an ordered
 tuple of elements — that :func:`expand_folded` unrolls from it, writing the
 inner-loop body once and running it for both passes.
 
-Each circuit is built once per config, preset and modulator choice, and
-walked forward once, to first order: :func:`build_circuit` hands every
-caller the same frozen circuit, and :func:`propagate` and
-:func:`propagate_cuts` hand out copies of one shared walk, which equal
-circuits share too.  The second-order detection probabilities follow from
-that walk in closed form.
+Each circuit is built once per config, preset and modulator choice, walked
+forward once, to first order, and backward once per detector:
+:func:`build_circuit` hands every caller the same frozen circuit, and
+:func:`propagate`, :func:`propagate_cuts`, :func:`backward_cuts` and
+:func:`two_state_vector` hand out copies of the shared walks, which equal
+circuits share too.  :func:`weak_trace` and the second-order detection
+probabilities, which follow from the walks in closed form, read them in
+place.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ POSTSELECTION_FLOOR = 1e-14
 
 #: entries per result cache: tunings and sector tables take at most three
 #: per bench, built circuits and forward walks six in a full commission
-#: (three presets, with and without modulators), so a stream of fresh
-#: configs keeps the last few benches and a bounded memory
+#: (three presets, with and without modulators) and backward walks nine (a
+#: bright detector of each circuit, and the other detector of each
+#: modulator circuit), so a stream of fresh configs keeps the last few
+#: benches and a bounded memory
 RESULT_CACHE_SIZE = 64
 
 
@@ -193,20 +197,28 @@ def detection_probs(circuit: Circuit, max_order: int = 1) -> dict[str, float]:
         passes = [(k, e, sum(abs(a) ** 2 for tag, a in cuts[k].components(e.mode) if tag))
                   for k, e in enumerate(circuit.elements) if isinstance(e, Eom)]
         for d in probs:
-            bwd = backward_cuts(circuit, d)
+            bwd = _bcuts(circuit, d)
             probs[d] += sum(2.0 * e.alpha ** 2 * w * abs(bwd[k].amp(e.mode)) ** 2
                             for k, e, w in passes)
     return probs
 
 
 def backward_cuts(circuit: Circuit, detector: str) -> list[PhotonState]:
-    """Backward (postselected) state at every cut, aligned with forward cuts.
+    """Copies of the backward (postselected) state at every cut, aligned
+    with the forward cuts."""
+    return [state.copy() for state in _bcuts(circuit, detector)]
+
+
+@lru_cache(maxsize=RESULT_CACHE_SIZE)
+def _bcuts(circuit: Circuit, detector: str) -> tuple[PhotonState, ...]:
+    """The one backward walk per circuit and detector; never hand these out.
 
     Starts as a unit carrier amplitude on the clicked detector's arm and
     runs every element's adjoint in reverse.  A closed shutter is a
     zero-transmission attenuator, so its adjoint darkens the backward state
     on the shutter arm exactly as the forward step darkens the forward one:
-    both vectors vanish behind closed shutters.
+    both vectors vanish behind closed shutters.  An unknown detector is
+    refused before the walk and leaves no entry.
     """
     if detector not in circuit.detectors:
         raise TopologyError(f"unknown detector {detector!r}")
@@ -214,13 +226,14 @@ def backward_cuts(circuit: Circuit, detector: str) -> list[PhotonState]:
     for e in reversed(circuit.elements):
         cuts.append(apply_adjoint(cuts[-1], e))
     cuts.reverse()
-    return cuts
+    return tuple(cuts)
 
 
 def overlap(fwd: PhotonState, bwd: PhotonState) -> complex:
     """Two-state overlap <backward|forward> at one cut."""
-    return sum((bwd.amps[key].conjugate() * fwd.amps[key]
-                for key in bwd.amps if key in fwd.amps), 0j)
+    amps = fwd.amps
+    return sum((b.conjugate() * amps[key] for key, b in bwd.amps.items()
+                if key in amps), 0j)
 
 
 @dataclass(frozen=True)
@@ -233,24 +246,37 @@ class TwoStateVector:
     detector: str
 
 
-def two_state_vector(circuit: Circuit, detector: str) -> TwoStateVector:
-    fwd = propagate_cuts(circuit)
-    bwd = backward_cuts(circuit, detector)
+def _two_state(circuit: Circuit, detector: str):
+    """The shared forward and backward walks, uncopied, and the
+    postselection amplitude, which must clear ``POSTSELECTION_FLOOR``."""
+    bwd = _bcuts(circuit, detector)
+    fwd = _cuts(circuit)
     ps = fwd[-1].amp(detector, CARRIER)
     if abs(ps) ** 2 < POSTSELECTION_FLOOR:
         raise UndefinedPostselectionError(
             f"detector {detector} carrier probability {abs(ps) ** 2:.3e} below "
             f"{POSTSELECTION_FLOOR:g}; conditional quantities undefined")
-    return TwoStateVector(tuple(fwd), tuple(bwd), ps, detector)
+    return fwd, bwd, ps
 
 
-def _consuming_index(circuit: Circuit, arm: str) -> int:
-    """First element that takes the arm in without giving it back out."""
+def two_state_vector(circuit: Circuit, detector: str) -> TwoStateVector:
+    fwd, bwd, ps = _two_state(circuit, detector)
+    return TwoStateVector(tuple(s.copy() for s in fwd),
+                          tuple(s.copy() for s in bwd), ps, detector)
+
+
+def _consuming_indices(circuit: Circuit, arms) -> dict[str, int]:
+    """Per arm, the first element that takes it in without giving it back
+    out, found in one pass over the circuit."""
+    found: dict[str, int] = {}
     for k, e in enumerate(circuit.elements):
         ins, outs = _ports(e)
-        if arm in ins and arm not in outs:
-            return k
-    raise TopologyError(f"arm {arm!r} is never consumed in this circuit")
+        found |= {m: k for m in ins if m not in outs and m not in found}
+    try:
+        return {arm: found[arm] for arm in arms}
+    except KeyError as exc:
+        raise TopologyError(
+            f"arm {exc.args[0]!r} is never consumed in this circuit") from None
 
 
 @dataclass(frozen=True)
@@ -270,16 +296,12 @@ class TraceReport:
 
 
 def weak_trace(circuit: Circuit, detector: str) -> TraceReport:
-    tsv = two_state_vector(circuit, detector)
-    aps = abs(tsv.postselection)
-    values: dict[str, float] = {}
-    for arm in REPORT_ARMS:
-        k = _consuming_index(circuit, arm)
-        f = tsv.forward[k].amp(arm, CARRIER)
-        b = tsv.backward[k].amp(arm, CARRIER)
-        values[arm] = abs(b.conjugate() * f) / aps
-    return TraceReport(values=values, postselection=tsv.postselection,
-                       detector=detector)
+    fwd, bwd, ps = _two_state(circuit, detector)
+    aps = abs(ps)
+    values = {arm: abs(bwd[k].amp(arm, CARRIER).conjugate()
+                       * fwd[k].amp(arm, CARRIER)) / aps
+              for arm, k in _consuming_indices(circuit, REPORT_ARMS).items()}
+    return TraceReport(values=values, postselection=ps, detector=detector)
 
 
 def sideband_strengths(report: TraceReport, cfg: DeviceConfig) -> dict[str, float]:

@@ -59,8 +59,9 @@ class EomSpec:
         if not isinstance(self.label, str) or not self.label:
             raise ConfigError(
                 f"modulator label must be a non-empty string, got {self.label!r}")
-        if not self.freq_ghz > 0.0:  # NaN fails it too
-            raise ConfigError(f"modulator {self.label}: frequency must be positive")
+        if not 0.0 < self.freq_ghz < math.inf:  # NaN fails it too
+            raise ConfigError(
+                f"modulator {self.label}: frequency must be positive and finite")
         if not 0.0 <= self.alpha <= ALPHA_MAX:
             raise ConfigError(
                 f"modulator {self.label}: alpha {self.alpha} outside "

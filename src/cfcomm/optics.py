@@ -172,8 +172,9 @@ class Eom:
             raise ConfigError(
                 f"modulation depth alpha={self.alpha} outside [0, {ALPHA_MAX}]"
                 " (first-order sideband model invalid)")
-        if not self.freq_ghz > 0.0:  # NaN fails it too
-            raise ConfigError(f"modulator frequency must be positive, got {self.freq_ghz}")
+        if not 0.0 < self.freq_ghz < math.inf:  # NaN fails it too
+            raise ConfigError(
+                f"modulator frequency must be positive and finite, got {self.freq_ghz}")
 
 
 Element = Union[Linear, Eom]

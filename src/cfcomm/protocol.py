@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import (DET0, DET1, REFERENCE, RESULT_CACHE_SIZE, SHUTTER_1,
-                      SHUTTER_2, _consuming_index, build_circuit)
+                      SHUTTER_2, _consuming_indices, build_circuit)
 from .config import DeviceConfig, ImperfectionModel
 from .errors import ConfigError, FitInfeasibleError
 from .optics import PhotonState, apply_element
@@ -75,7 +75,8 @@ def sector_probs(cfg: DeviceConfig, preset: str) -> dict[str, tuple[float, float
     ``cd = sum_k |sum_j c_jk|^2`` and ``dd = sum |c_jk|^2``.
     """
     circuit = build_circuit(cfg, preset, include_eoms=False)
-    marks = {_consuming_index(circuit, arm): (arm, kick) for arm, kick in _DRIFT_MARKS}
+    at = _consuming_indices(circuit, [arm for arm, _ in _DRIFT_MARKS])
+    marks = {at[arm]: (arm, kick) for arm, kick in _DRIFT_MARKS}
     state = PhotonState.from_sources(circuit.sources)
     for k, e in enumerate(circuit.elements):
         if k in marks:

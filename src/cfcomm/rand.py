@@ -6,9 +6,10 @@ Two stream families, both keyed on a single user seed:
   spawn_key=path)``.  Robust and collision-free.  :func:`point_poisson`
   draws the per-scan-point counting noise from exactly these streams,
   ``substream(seed, label, j)`` for each requested point ``j``, without
-  building one: :func:`_point_keys` computes the points' Philox keys in one
-  array pass, and a single reused Philox is re-keyed per point.  A subset of
-  points draws what a full scan draws at them.
+  building one: :func:`_point_keys` computes the points' Philox keys in
+  ``(4, n)`` array passes over the four pool words, and a single reused
+  Philox is re-keyed per point.  A subset of points draws what a full scan
+  draws at them.
 * :func:`bit_uniforms` — counter-based Philox4x64-10 (Salmon et al.,
   "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Channel use ``i``
   owns the counters ``(b, 0, i, 0)``, ``b = 1, 2, ...``, under one key per
@@ -67,21 +68,38 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         np.random.SeedSequence(check_seed(seed), spawn_key=path)))
 
 
-def _hashmix(value, const: int, mult: int):
-    """One SeedSequence hash step; returns the word and the next constant.
-
-    ``value`` is an int or a ``uint32`` array; arrays wrap silently where
-    numpy integer scalars would warn on overflow.
-    """
+def _hashmix(value: int, const: int, mult: int) -> tuple[int, int]:
+    """One SeedSequence hash step; returns the word and the next constant."""
     const_next = const * mult & _MASK32
     value = (value ^ const) * const_next & _MASK32
     return value ^ value >> 16, const_next
 
 
-def _mix(x: int, y):
-    """SeedSequence's pool mixing of word ``x`` with hashed word ``y``."""
+def _mix(x, y):
+    """SeedSequence's pool mixing of word ``x`` with hashed word ``y``.
+
+    Words are ints or ``uint32`` arrays, which wrap silently where numpy
+    integer scalars would warn on overflow.
+    """
     value = ((_SS_MIX_L * x & _MASK32) - _SS_MIX_R * y) & _MASK32
     return value ^ value >> 16
+
+
+def _hash_steps(init: int, mult: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiplier constants of hash steps ``first`` to ``first + 3``
+    of the chain from ``init``, as ``(4, 1)`` ``uint32`` columns."""
+    chain = [init]
+    for _ in range(first + 4):
+        chain.append(chain[-1] * mult & _MASK32)
+    return (np.array(chain[first:first + 4], dtype=np.uint32)[:, None],
+            np.array(chain[first + 1:], dtype=np.uint32)[:, None])
+
+
+#: the point's four hash steps are steps 20-23 of the pool's chain (after
+#: the seed's 4 words, the 12 pool mixes and the label's 4), and the pool's
+#: final hash runs a chain of its own: the same constants for every seed
+_POINT_XOR, _POINT_MULT = _hash_steps(_SS_INIT_A, _SS_MULT_A, 20)
+_FINAL_XOR, _FINAL_MULT = _hash_steps(_SS_INIT_B, _SS_MULT_B, 0)
 
 
 def _point_keys(seed: int, label: int, points) -> np.ndarray:
@@ -90,10 +108,12 @@ def _point_keys(seed: int, label: int, points) -> np.ndarray:
     Row ``k`` of the ``(len(points), 2)`` result is ``SeedSequence(seed,
     spawn_key=(label, points[k])).generate_state(2, np.uint64)``.  Its
     entropy words are the seed's 32-bit words zero-padded to the pool size
-    4, then ``label``, then the point; only the last mixing step sees the
-    point, so everything before it runs once in ints and that step on
-    arrays.  ``label`` and every point must fit one entropy word, that is
-    lie in ``[0, 2**32)``.
+    4, then ``label``, then the point.  Only the last mixing step sees the
+    point, so everything before it runs once in ints.  There the point meets
+    each pool word under a constant of its own, and each word then takes
+    its final hash: both are one ``(4, len(points))`` array pass, with the
+    constants computed once (:func:`_hash_steps`).  ``label`` and every
+    point must fit one entropy word, that is lie in ``[0, 2**32)``.
     """
     seed = check_seed(seed)
     # a one-word seed's zero padding reads as a zero high word
@@ -106,17 +126,15 @@ def _point_keys(seed: int, label: int, points) -> np.ndarray:
             if src != dst:
                 hashed, const = _hashmix(pool[src], const, _SS_MULT_A)
                 pool[dst] = _mix(pool[dst], hashed)
-    for word in (label, np.asarray(points, dtype=np.uint32)):
-        for dst in range(4):
-            hashed, const = _hashmix(word, const, _SS_MULT_A)
-            pool[dst] = _mix(pool[dst], hashed)
-    const, state = _SS_INIT_B, []
-    for word in pool:
-        word, const = _hashmix(word, const, _SS_MULT_B)
-        state.append(word.astype(np.uint64))
+    for dst in range(4):
+        hashed, const = _hashmix(label, const, _SS_MULT_A)
+        pool[dst] = _mix(pool[dst], hashed)
+    hashed = (np.asarray(points, dtype=np.uint32) ^ _POINT_XOR) * _POINT_MULT
+    state = _mix(np.array(pool, dtype=np.uint32)[:, None], hashed ^ hashed >> 16)
+    state = (state ^ _FINAL_XOR) * _FINAL_MULT
+    state = (state ^ state >> 16).astype(np.uint64)
     # little-endian pairs of 32-bit words make the two 64-bit key words
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32],
-                    axis=1)
+    return (state[0::2] | state[1::2] << 32).T
 
 
 def point_poisson(seed: int, label: int, points, lam,

@@ -53,8 +53,9 @@ def test_result_caches_stay_bounded_over_fresh_configs(bench):
         solve_tuning(cfg), calibration_tuning(cfg), sector_probs(cfg, "bit1")
         detection_probs(build_circuit(cfg, "bit1"), max_order=2)
     assert circuit._cuts.cache_info().misses >= circuit.RESULT_CACHE_SIZE + 5
+    assert circuit._bcuts.cache_info().misses >= circuit.RESULT_CACHE_SIZE + 5
     for fn in (solve_tuning, calibration_tuning, sector_probs,
-               circuit._built, circuit._cuts):
+               circuit._built, circuit._cuts, circuit._bcuts):
         assert fn.cache_info().currsize <= circuit.RESULT_CACHE_SIZE
 
 
@@ -119,17 +120,81 @@ def test_terminal_state_is_the_last_forward_cut(bench, preset, include_eoms):
 
 def test_spellings_of_one_propagation_share_a_cache_entry(bench):
     """The terminal state, the cuts, both orders of the detection
-    probabilities and the two-state vector read one forward walk."""
+    probabilities, the two-state vector and the weak trace read one forward
+    walk, and they and the backward cuts one backward walk per detector."""
     c = build_circuit(bench, "calibration")
     circuit._cuts.cache_clear()
+    circuit._bcuts.cache_clear()
     propagate(c)
     propagate_cuts(c)
     detection_probs(c)
     detection_probs(c, 2)
     detection_probs(c, max_order=2)
     circuit.two_state_vector(c, "det0")
+    circuit.weak_trace(c, "det0")
+    circuit.backward_cuts(c, "det0")
+    circuit.backward_cuts(c, "det1")
     info = circuit._cuts.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+    assert (info.misses, info.hits, info.currsize) == (1, 6, 1)
+    info = circuit._bcuts.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
+
+
+@pytest.mark.parametrize("reader", ["backward_cuts", "two_state_vector",
+                                    "weak_trace"])
+def test_unknown_detector_is_refused_before_any_walk(bench, reader):
+    c = build_circuit(bench, "bit0")
+    circuit._cuts.cache_clear()
+    circuit._bcuts.cache_clear()
+    with pytest.raises(TopologyError, match="unknown detector 'det2'"):
+        getattr(circuit, reader)(c, "det2")
+    assert circuit._cuts.cache_info().misses == 0
+    assert circuit._bcuts.cache_info().currsize == 0
+
+
+def test_backward_cuts_hands_out_copies(bench):
+    """Changing every returned cut, or the list, leaves the next backward
+    cuts, two-state vector, weak trace and order-2 probabilities as they
+    were."""
+    c = build_circuit(bench, "bit1")
+    first = circuit.backward_cuts(c, "det1")
+    want = [items(s) for s in first]
+    tsv = circuit.two_state_vector(c, "det1")
+    trace = circuit.weak_trace(c, "det1")
+    p2 = detection_probs(c, max_order=2)
+    for s in first:
+        s.amps.clear()
+        s.amps[("stray", ())] = 1j
+    first.pop()
+    assert [items(s) for s in circuit.backward_cuts(c, "det1")] == want
+    assert [items(s) for s in circuit.two_state_vector(c, "det1").backward] == want
+    assert circuit.weak_trace(c, "det1") == trace
+    assert detection_probs(c, max_order=2) == p2
+    assert [items(s) for s in tsv.backward] == want
+
+
+def test_two_state_vector_hands_out_copies(bench):
+    """Changing the states of one two-state vector leaves the next one, the
+    walks and the weak trace as they were."""
+    c = build_circuit(bench, "bit0")
+    first = circuit.two_state_vector(c, "det0")
+    want = [[items(s) for s in walk] for walk in (first.forward, first.backward)]
+    trace = circuit.weak_trace(c, "det0")
+    for s in first.forward + first.backward:
+        s.amps.clear()
+    again = circuit.two_state_vector(c, "det0")
+    assert [[items(s) for s in walk] for walk in (again.forward, again.backward)] == want
+    assert [items(s) for s in propagate_cuts(c)] == want[0]
+    assert [items(s) for s in circuit.backward_cuts(c, "det0")] == want[1]
+    assert circuit.weak_trace(c, "det0") == trace
+
+
+def test_consuming_indices_refuse_an_arm_never_consumed(bench):
+    c = build_circuit(bench, "bit0")
+    at = circuit._consuming_indices(c, [circuit.OPEN_1, circuit.SOURCE])
+    assert list(at) == [circuit.OPEN_1, circuit.SOURCE] and at[circuit.SOURCE] == 0
+    with pytest.raises(TopologyError, match="arm 'det0' is never consumed"):
+        circuit._consuming_indices(c, [circuit.SOURCE, circuit.DET0])
 
 
 def test_cache_keys_hash_once_and_as_their_fields(bench):
@@ -199,7 +264,7 @@ def unrolled(cfg, preset, **knobs):
 
 def carrier_before_consumed(c, arm):
     """Carrier probability on an arm at the cut where it is consumed."""
-    k = circuit._consuming_index(c, arm)
+    k = circuit._consuming_indices(c, [arm])[arm]
     return propagate_cuts(c)[k].carrier_prob(arm)
 
 

@@ -118,6 +118,15 @@ def test_modulator_label_is_a_string_without_json(label):
         dataclasses.replace(spec, label=label)
 
 
+@pytest.mark.parametrize("freq", [math.inf, math.nan])
+def test_modulator_frequency_is_finite_without_json(freq):
+    """A modulator moved to an infinite or NaN frequency in code is refused
+    before the bench's resolution check, which infinity would pass."""
+    spec = reference_device().eom_at("link")
+    with pytest.raises(ConfigError, match="frequency must be positive and finite"):
+        dataclasses.replace(spec, freq_ghz=freq)
+
+
 def test_imperfections_are_read_as_floats():
     doc = with_value(reference_dict(), ("imperfections", "visibility_inner"), 1)
     value = config_from_dict(doc).imperfections.visibility_inner
@@ -135,9 +144,11 @@ def test_sidebands_must_be_resolvable_modulo_the_scan_fsr(freq):
         config_from_dict(doc)
 
 
-@pytest.mark.parametrize("freq", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("freq", [0.0, -1.0, math.nan, math.inf])
 def test_modulator_frequency_must_be_positive(freq):
-    """NaN too, which every ordered comparison lets through."""
+    """NaN too, which every ordered comparison lets through, and infinity,
+    whose sidebands' remainder on the FSR circle is NaN, so the resolution
+    check of the bench would let it through."""
     with pytest.raises(ConfigError, match="frequency must be positive"):
         EomSpec("link", "L", freq, 0.1)
 

@@ -333,3 +333,9 @@ def test_modulator_parameter_validation():
         Eom("a", "B", -1.0, 0.1)
     with pytest.raises(ConfigError, match="frequency"):
         Eom("a", "B", math.nan, 0.1)
+
+
+@pytest.mark.parametrize("freq", [math.inf, -math.inf])
+def test_modulator_refuses_an_infinite_frequency(freq):
+    with pytest.raises(ConfigError, match="frequency must be positive and finite"):
+        Eom("a", "B", freq, 0.1)

@@ -123,9 +123,10 @@ KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**53 + 1, 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
-@pytest.mark.parametrize("label", [0, 1])
+@pytest.mark.parametrize("label", [0, 1, 2**32 - 1])
 def test_point_keys_equal_seed_sequence_keys(seed, label):
-    """Every index a scan grid can hold, one- and two-word seeds alike."""
+    """Every index a scan grid can hold, one- and two-word seeds alike, and
+    the largest label an entropy word holds."""
     keys = _point_keys(seed, label, np.arange(MAX_SCAN_POINTS))
     assert keys.shape == (MAX_SCAN_POINTS, 2) and keys.dtype == np.uint64
     drawn = np.random.default_rng([seed, label]).integers(300, MAX_SCAN_POINTS, 40)

@@ -85,8 +85,7 @@ def test_zero_trace_is_a_zero_product_not_zero_fields(bench):
     blockable arms forward (bit0) or backward (bit1), never both."""
     c = build_circuit(bench, "bit0", include_eoms=False)
     tsv = two_state_vector(c, "det0")
-    k1 = circuit._consuming_index(c, circuit.SHUTTER_1)
-    k2 = circuit._consuming_index(c, circuit.SHUTTER_2)
+    k1, k2 = circuit._consuming_indices(c, [circuit.SHUTTER_1, circuit.SHUTTER_2]).values()
     # first pass: forward light present, backward empty
     assert abs(tsv.forward[k1].amp(circuit.SHUTTER_1, CARRIER)) == pytest.approx(0.5)
     assert tsv.backward[k1].amp(circuit.SHUTTER_1, CARRIER) == 0j
@@ -96,7 +95,7 @@ def test_zero_trace_is_a_zero_product_not_zero_fields(bench):
 
     c = build_circuit(bench, "bit1", include_eoms=False)
     tsv = two_state_vector(c, "det1")
-    k1 = circuit._consuming_index(c, circuit.SHUTTER_1)
+    (k1,) = circuit._consuming_indices(c, [circuit.SHUTTER_1]).values()
     assert tsv.forward[k1].amp(circuit.SHUTTER_1, CARRIER) == 0j  # shuttered
     assert abs(tsv.backward[k1].amp(circuit.SHUTTER_1, CARRIER)) == pytest.approx(
         1.0 / (2.0 * math.sqrt(2.0)))

@@ -93,6 +93,15 @@ MUTANTS = (
      "[state.copy() for state in _cuts(circuit)]",
      "list(_cuts(circuit))",
      ("tests/test_circuit.py::test_propagate_cuts_hands_out_copies",)),
+    ("backward-handed-out-uncopied", CIRCUIT,
+     "[state.copy() for state in _bcuts(circuit, detector)]",
+     "list(_bcuts(circuit, detector))",
+     ("tests/test_circuit.py::test_backward_cuts_hands_out_copies",)),
+    ("two-state-walks-handed-out-uncopied", CIRCUIT,
+     "TwoStateVector(tuple(s.copy() for s in fwd),\n"
+     "                          tuple(s.copy() for s in bwd), ps, detector)",
+     "TwoStateVector(fwd, bwd, ps, detector)",
+     ("tests/test_circuit.py::test_two_state_vector_hands_out_copies",)),
     # the cut after the pass holds the sidebands this pass just wrote
     ("order2-reads-cut-after-pass", CIRCUIT,
      "cuts[k].components(e.mode)",
@@ -175,6 +184,15 @@ MUTANTS = (
       "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[None-0]",
       "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[100-0]",
       "tests/test_spectral.py::test_peaks_of_a_fresh_noisy_scan_equal_those_of_its_full_read[20260]")),
+    # the point meets the pool under the label's last constants: every key
+    # differs from SeedSequence's
+    ("point-hash-chain-one-step-late", RAND,
+     "_hash_steps(_SS_INIT_A, _SS_MULT_A, 20)",
+     "_hash_steps(_SS_INIT_A, _SS_MULT_A, 21)",
+     ("tests/test_rand.py::test_point_keys_equal_seed_sequence_keys[0-0]",
+      "tests/test_rand.py::test_point_keys_equal_seed_sequence_keys[4294967295-18446744073709551615]",
+      "tests/test_rand.py::test_point_poisson_equals_per_point_substreams[None-0]",
+      "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1]")),
     ("airy-approximate-sin", SPECTRAL,
      "s = np.sin(math.pi * detuning_ghz / self.fsr_ghz)",
      "x = math.pi * detuning_ghz / self.fsr_ghz\n"
