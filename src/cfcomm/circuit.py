@@ -14,11 +14,10 @@ inner-loop body once and running it for both passes.
 Each circuit is built once per config, preset and modulator choice, walked
 forward once, to first order, and backward once per detector:
 :func:`build_circuit` hands every caller the same frozen circuit, and
-:func:`propagate`, :func:`propagate_cuts`, :func:`backward_cuts` and
-:func:`two_state_vector` hand out copies of the shared walks, which equal
-circuits share too.  :func:`weak_trace` and the second-order detection
-probabilities, which follow from the walks in closed form, read them in
-place.
+:func:`propagate_cuts` and :func:`backward_cuts` the same tuples of
+read-only states, which equal circuits share too.  :func:`propagate`,
+:func:`two_state_vector`, :func:`weak_trace` and the second-order detection
+probabilities, which follow from the walks in closed form, read them.
 """
 
 from __future__ import annotations
@@ -158,18 +157,14 @@ def validate_circuit(c: Circuit) -> None:
 # --------------------------------------------------------------------------
 
 def propagate(circuit: Circuit) -> PhotonState:
-    """Terminal state: a copy of the circuit's one shared walk, free to change."""
-    return _cuts(circuit)[-1].copy()
-
-
-def propagate_cuts(circuit: Circuit) -> list[PhotonState]:
-    """Copies of the forward state at every cut; ``cuts[k]`` follows k elements."""
-    return [state.copy() for state in _cuts(circuit)]
+    """Terminal state: the last cut of the circuit's one forward walk."""
+    return propagate_cuts(circuit)[-1]
 
 
 @lru_cache(maxsize=RESULT_CACHE_SIZE)
-def _cuts(circuit: Circuit) -> tuple[PhotonState, ...]:
-    """The one first-order forward walk per circuit; never hand these out."""
+def propagate_cuts(circuit: Circuit) -> tuple[PhotonState, ...]:
+    """The one first-order forward walk per circuit, shared by every
+    caller: the state at every cut, ``cuts[k]`` following k elements."""
     cuts = [PhotonState.from_sources(circuit.sources)]
     for e in circuit.elements:
         cuts.append(apply_element(cuts[-1], e))
@@ -191,27 +186,22 @@ def detection_probs(circuit: Circuit, max_order: int = 1) -> dict[str, float]:
     """
     if max_order not in (1, 2):
         raise ConfigError(f"sideband order must be 1 or 2, got {max_order!r}")
-    cuts = _cuts(circuit)
+    cuts = propagate_cuts(circuit)
     probs = {d: cuts[-1].mode_prob(d) for d in sorted(circuit.detectors)}
     if max_order == 2:
         passes = [(k, e, sum(abs(a) ** 2 for tag, a in cuts[k].components(e.mode) if tag))
                   for k, e in enumerate(circuit.elements) if isinstance(e, Eom)]
         for d in probs:
-            bwd = _bcuts(circuit, d)
+            bwd = backward_cuts(circuit, d)
             probs[d] += sum(2.0 * e.alpha ** 2 * w * abs(bwd[k].amp(e.mode)) ** 2
                             for k, e, w in passes)
     return probs
 
 
-def backward_cuts(circuit: Circuit, detector: str) -> list[PhotonState]:
-    """Copies of the backward (postselected) state at every cut, aligned
-    with the forward cuts."""
-    return [state.copy() for state in _bcuts(circuit, detector)]
-
-
 @lru_cache(maxsize=RESULT_CACHE_SIZE)
-def _bcuts(circuit: Circuit, detector: str) -> tuple[PhotonState, ...]:
-    """The one backward walk per circuit and detector; never hand these out.
+def backward_cuts(circuit: Circuit, detector: str) -> tuple[PhotonState, ...]:
+    """The one backward (postselected) walk per circuit and detector, shared
+    by every caller: the state at every cut, aligned with the forward cuts.
 
     Starts as a unit carrier amplitude on the clicked detector's arm and
     runs every element's adjoint in reverse.  A closed shutter is a
@@ -246,23 +236,17 @@ class TwoStateVector:
     detector: str
 
 
-def _two_state(circuit: Circuit, detector: str):
-    """The shared forward and backward walks, uncopied, and the
-    postselection amplitude, which must clear ``POSTSELECTION_FLOOR``."""
-    bwd = _bcuts(circuit, detector)
-    fwd = _cuts(circuit)
+def two_state_vector(circuit: Circuit, detector: str) -> TwoStateVector:
+    """The shared forward and backward walks and the postselection
+    amplitude, which must clear ``POSTSELECTION_FLOOR``."""
+    bwd = backward_cuts(circuit, detector)
+    fwd = propagate_cuts(circuit)
     ps = fwd[-1].amp(detector, CARRIER)
     if abs(ps) ** 2 < POSTSELECTION_FLOOR:
         raise UndefinedPostselectionError(
             f"detector {detector} carrier probability {abs(ps) ** 2:.3e} below "
             f"{POSTSELECTION_FLOOR:g}; conditional quantities undefined")
-    return fwd, bwd, ps
-
-
-def two_state_vector(circuit: Circuit, detector: str) -> TwoStateVector:
-    fwd, bwd, ps = _two_state(circuit, detector)
-    return TwoStateVector(tuple(s.copy() for s in fwd),
-                          tuple(s.copy() for s in bwd), ps, detector)
+    return TwoStateVector(fwd, bwd, ps, detector)
 
 
 def _consuming_indices(circuit: Circuit, arms) -> dict[str, int]:
@@ -296,12 +280,12 @@ class TraceReport:
 
 
 def weak_trace(circuit: Circuit, detector: str) -> TraceReport:
-    fwd, bwd, ps = _two_state(circuit, detector)
-    aps = abs(ps)
-    values = {arm: abs(bwd[k].amp(arm, CARRIER).conjugate()
-                       * fwd[k].amp(arm, CARRIER)) / aps
+    tsv = two_state_vector(circuit, detector)
+    aps = abs(tsv.postselection)
+    values = {arm: abs(tsv.backward[k].amp(arm, CARRIER).conjugate()
+                       * tsv.forward[k].amp(arm, CARRIER)) / aps
               for arm, k in _consuming_indices(circuit, REPORT_ARMS).items()}
-    return TraceReport(values=values, postselection=ps, detector=detector)
+    return TraceReport(values, tsv.postselection, detector)
 
 
 def sideband_strengths(report: TraceReport, cfg: DeviceConfig) -> dict[str, float]:

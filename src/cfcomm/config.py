@@ -185,11 +185,15 @@ def _real(value, name: str) -> float:
     """A finite float from a JSON number (JSON also spells NaN and +-Infinity).
 
     ``true``, ``false`` and strings are not numbers, though ``float`` takes
-    them.
+    them; an integer past the float range is not finite.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a finite number, got an integer "
+                          "beyond the float range") from None
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return x
@@ -278,6 +282,8 @@ def load_config(path) -> DeviceConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from None
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ConfigError(f"config {path} holds an unreadable number: {exc}") from None
     except RecursionError:
         raise ConfigError(f"config {path} is nested too deeply") from None
     return config_from_dict(raw)

@@ -17,10 +17,9 @@ to the out-ports, and :func:`apply_adjoint`, the step of backward
 evolution, applies ``m^H`` from the out-ports back to the in-ports.  Only
 the modulator, which writes sideband tags forward and is the identity
 backward, has no matrix.  Detectors are not elements: a circuit names the
-arms it reads out after its last element.  A step never changes the state
-it is given, and the states of the one forward walk per circuit that
-:mod:`cfcomm.circuit` shares between callers are handed out as copies, so a
-caller may change any state it holds.
+arms it reads out after its last element.  A state is a read-only value: a
+step builds a new dict and wraps it, so no state can change once made, and
+:mod:`cfcomm.circuit` hands every caller the same states of its shared walks.
 
 Two modelling choices live here and nowhere else:
 
@@ -45,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .errors import ConfigError
@@ -64,24 +64,26 @@ def detuning_ghz(tag: SidebandTag, freqs: Mapping[str, float]) -> float:
     return sum(sign * freqs[label] for label, sign, _ in tag)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhotonState:
     """A state is its amplitudes: a sparse map over (arm, sideband tag).
 
-    It keeps no set of arms; ``validate_circuit`` checks the wiring.
+    The state owns the dict it is built from and exposes it read-only, as a
+    ``MappingProxyType``: its items can be neither changed nor rebound.  It
+    keeps no set of arms; ``validate_circuit`` checks the wiring.
     """
 
-    amps: dict[tuple[str, SidebandTag], complex] = field(default_factory=dict)
+    amps: Mapping[tuple[str, SidebandTag], complex] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "amps", MappingProxyType(self.amps))
 
     @classmethod
     def from_sources(cls, sources) -> "PhotonState":
-        state = cls()
+        amps: dict[tuple[str, SidebandTag], complex] = {}
         for mode, amp in sources:
-            state.amps[(mode, CARRIER)] = state.amps.get((mode, CARRIER), 0j) + complex(amp)
-        return state
-
-    def copy(self) -> "PhotonState":
-        return PhotonState(dict(self.amps))
+            amps[(mode, CARRIER)] = amps.get((mode, CARRIER), 0j) + complex(amp)
+        return cls(amps)
 
     def amp(self, mode: str, tag: SidebandTag = CARRIER) -> complex:
         return self.amps.get((mode, tag), 0j)
@@ -181,7 +183,7 @@ Element = Union[Linear, Eom]
 
 
 def apply_element(state: PhotonState, e: Element) -> PhotonState:
-    """State after one element (pure: the input state is left untouched)."""
+    """State after one element."""
     if isinstance(e, Eom):
         return _modulate(state, e)
     return _transfer(state, e, adjoint=False)
@@ -195,7 +197,7 @@ def apply_adjoint(state: PhotonState, e: Element) -> PhotonState:
     forward-generated bookkeeping and never feed back into the carrier.
     """
     if isinstance(e, Eom):
-        return state.copy()
+        return state
     return _transfer(state, e, adjoint=True)
 
 
@@ -210,8 +212,7 @@ def _transfer(state: PhotonState, e: Linear, adjoint: bool) -> PhotonState:
     from ``0`` in port order, ``0 + x0*a0 + x1*a1``, written out for one and
     for two feeding arms (the float operations of ``sum(map(mul, row, a))``).
     """
-    out = state.copy()
-    amps = out.amps
+    amps = state.amps.copy()
     if adjoint:
         src, dst = e.outs, e.ins
         m = [[x.conjugate() for x in col] for col in zip(*e.m)]
@@ -233,7 +234,7 @@ def _transfer(state: PhotonState, e: Linear, adjoint: bool) -> PhotonState:
                         del amps[key]
                 elif o != 0j:
                     amps[key] = amps.get(key, 0j) + o
-        return out
+        return PhotonState(amps)
     s0, s1 = src
     keep0, keep1 = s0 in dst, s1 in dst
     for tag in sorted({tag for (mode, tag) in amps if mode == s0 or mode == s1}):
@@ -249,19 +250,18 @@ def _transfer(state: PhotonState, e: Linear, adjoint: bool) -> PhotonState:
                     amps.pop(key, None)
             elif o != 0j:
                 amps[key] = amps.get(key, 0j) + o
-    return out
+    return PhotonState(amps)
 
 
 def _modulate(state: PhotonState, e: Eom) -> PhotonState:
     """Forward modulator pass, to first order: the carrier on the arm
     radiates ``alpha`` of its amplitude into each sideband; tagged
     components pass unchanged."""
-    out = state.copy()
-    amps = out.amps
-    a = amps.get((e.mode, CARRIER), 0j)
+    a = state.amps.get((e.mode, CARRIER), 0j)
     if a == 0j or e.alpha == 0.0:
-        return out
+        return state
+    amps = state.amps.copy()
     for sign in (+1, -1):
         key = (e.mode, ((e.label, sign, e.instance),))
         amps[key] = amps.get(key, 0j) + complex(e.alpha) * a
-    return out
+    return PhotonState(amps)

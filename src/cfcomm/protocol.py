@@ -81,8 +81,8 @@ def sector_probs(cfg: DeviceConfig, preset: str) -> dict[str, tuple[float, float
     for k, e in enumerate(circuit.elements):
         if k in marks:
             arm, kick = marks[k]
-            state.amps = {(m, tag + (kick,) if m == arm else tag): a
-                          for (m, tag), a in state.amps.items()}
+            state = PhotonState({(m, tag + (kick,) if m == arm else tag): a
+                                 for (m, tag), a in state.amps.items()})
         state = apply_element(state, e)
     coeffs = np.zeros((3, 2, 2), complex)  # z^j, w^k, (det0, det1)
     for d, det in enumerate((DET0, DET1)):

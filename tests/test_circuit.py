@@ -52,10 +52,10 @@ def test_result_caches_stay_bounded_over_fresh_configs(bench):
         cfg = dataclasses.replace(bench, seed=seed, attenuator_t=0.2 + seed / 1e3)
         solve_tuning(cfg), calibration_tuning(cfg), sector_probs(cfg, "bit1")
         detection_probs(build_circuit(cfg, "bit1"), max_order=2)
-    assert circuit._cuts.cache_info().misses >= circuit.RESULT_CACHE_SIZE + 5
-    assert circuit._bcuts.cache_info().misses >= circuit.RESULT_CACHE_SIZE + 5
+    assert circuit.propagate_cuts.cache_info().misses >= circuit.RESULT_CACHE_SIZE + 5
+    assert circuit.backward_cuts.cache_info().misses >= circuit.RESULT_CACHE_SIZE + 5
     for fn in (solve_tuning, calibration_tuning, sector_probs,
-               circuit._built, circuit._cuts, circuit._bcuts):
+               circuit._built, circuit.propagate_cuts, circuit.backward_cuts):
         assert fn.cache_info().currsize <= circuit.RESULT_CACHE_SIZE
 
 
@@ -72,6 +72,22 @@ def items(state: PhotonState) -> str:
     return repr(list(state.amps.items()))
 
 
+def try_to_change(state: PhotonState) -> None:
+    """Every way of changing a handed-out state fails and leaves it as it was."""
+    before = items(state)
+    key = next(iter(state.amps))
+    with pytest.raises(TypeError):
+        state.amps[key] = 5.0 + 0j
+    with pytest.raises(TypeError):
+        state.amps[("stray", ())] = 1j
+    with pytest.raises(TypeError):
+        del state.amps[key]
+    assert not hasattr(state.amps, "clear") and not hasattr(state.amps, "pop")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.amps = {("stray", ()): 1j}
+    assert items(state) == before
+
+
 def test_build_circuit_returns_one_shared_circuit(bench):
     c = build_circuit(bench, "bit1")
     assert build_circuit(bench, "bit1", include_eoms=True) is c
@@ -80,33 +96,33 @@ def test_build_circuit_returns_one_shared_circuit(bench):
     assert build_circuit(bench, "bit1", include_eoms=False) is bare
 
 
-def test_propagate_hands_out_copies(bench):
-    """Changing a returned state leaves the next result as it was."""
+def test_propagate_hands_out_the_shared_read_only_state(bench):
+    """The terminal state is the last shared cut: it cannot be changed, and
+    the next result is the same state, equal to a fresh walk's."""
     c = build_circuit(bench, "bit0")
     first = propagate(c)
     want = items(first)
-    first.amps[("det0", ())] = 5.0 + 0j
-    first.amps.pop(next(iter(first.amps)))
-    first.amps[("stray", ())] = 1j
+    try_to_change(first)
+    assert propagate(c) is first and propagate_cuts(c)[-1] is first
     assert items(propagate(c)) == want
     assert items(uncached_terminal(c)) == want
 
 
-def test_propagate_cuts_hands_out_copies(bench):
-    """Changing every returned cut, or the list, leaves the next walk, the
-    terminal state and the order-2 closed form as they were."""
+def test_propagate_cuts_hands_out_one_read_only_walk(bench):
+    """Every call returns the one cached tuple; no cut of it can be changed,
+    and the walk, the terminal state and the order-2 closed form stay as
+    they were."""
     c = build_circuit(bench, "bit1")
     first = propagate_cuts(c)
     want = [items(s) for s in first]
     p2 = detection_probs(c, max_order=2)
+    assert isinstance(first, tuple)
     for s in first:
-        s.amps.clear()
-        s.amps[("stray", ())] = 1j
-    first.pop()
+        try_to_change(s)
+    assert propagate_cuts(c) is first
     assert [items(s) for s in propagate_cuts(c)] == want
     assert items(propagate(c)) == want[-1]
     assert detection_probs(c, max_order=2) == p2
-    assert propagate_cuts(c)[0] is not propagate_cuts(c)[0]
 
 
 @pytest.mark.parametrize("preset", circuit.PRESETS)
@@ -123,8 +139,8 @@ def test_spellings_of_one_propagation_share_a_cache_entry(bench):
     probabilities, the two-state vector and the weak trace read one forward
     walk, and they and the backward cuts one backward walk per detector."""
     c = build_circuit(bench, "calibration")
-    circuit._cuts.cache_clear()
-    circuit._bcuts.cache_clear()
+    circuit.propagate_cuts.cache_clear()
+    circuit.backward_cuts.cache_clear()
     propagate(c)
     propagate_cuts(c)
     detection_probs(c)
@@ -134,9 +150,9 @@ def test_spellings_of_one_propagation_share_a_cache_entry(bench):
     circuit.weak_trace(c, "det0")
     circuit.backward_cuts(c, "det0")
     circuit.backward_cuts(c, "det1")
-    info = circuit._cuts.cache_info()
+    info = circuit.propagate_cuts.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 6, 1)
-    info = circuit._bcuts.cache_info()
+    info = circuit.backward_cuts.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
 
 
@@ -144,48 +160,51 @@ def test_spellings_of_one_propagation_share_a_cache_entry(bench):
                                     "weak_trace"])
 def test_unknown_detector_is_refused_before_any_walk(bench, reader):
     c = build_circuit(bench, "bit0")
-    circuit._cuts.cache_clear()
-    circuit._bcuts.cache_clear()
+    circuit.propagate_cuts.cache_clear()
+    circuit.backward_cuts.cache_clear()
     with pytest.raises(TopologyError, match="unknown detector 'det2'"):
         getattr(circuit, reader)(c, "det2")
-    assert circuit._cuts.cache_info().misses == 0
-    assert circuit._bcuts.cache_info().currsize == 0
+    assert circuit.propagate_cuts.cache_info().misses == 0
+    assert circuit.backward_cuts.cache_info().currsize == 0
 
 
-def test_backward_cuts_hands_out_copies(bench):
-    """Changing every returned cut, or the list, leaves the next backward
-    cuts, two-state vector, weak trace and order-2 probabilities as they
-    were."""
+def test_backward_cuts_hands_out_one_read_only_walk(bench):
+    """Every call, and the two-state vector, returns the one cached tuple;
+    no cut of it can be changed, and the backward cuts, two-state vector,
+    weak trace and order-2 probabilities stay as they were."""
     c = build_circuit(bench, "bit1")
     first = circuit.backward_cuts(c, "det1")
     want = [items(s) for s in first]
     tsv = circuit.two_state_vector(c, "det1")
     trace = circuit.weak_trace(c, "det1")
     p2 = detection_probs(c, max_order=2)
+    assert isinstance(first, tuple)
     for s in first:
-        s.amps.clear()
-        s.amps[("stray", ())] = 1j
-    first.pop()
+        try_to_change(s)
+    assert circuit.backward_cuts(c, "det1") is first and tsv.backward is first
     assert [items(s) for s in circuit.backward_cuts(c, "det1")] == want
     assert [items(s) for s in circuit.two_state_vector(c, "det1").backward] == want
     assert circuit.weak_trace(c, "det1") == trace
     assert detection_probs(c, max_order=2) == p2
-    assert [items(s) for s in tsv.backward] == want
 
 
-def test_two_state_vector_hands_out_copies(bench):
-    """Changing the states of one two-state vector leaves the next one, the
-    walks and the weak trace as they were."""
+def test_two_state_vector_hands_out_the_shared_walks(bench):
+    """A two-state vector holds the shared walks: neither they nor their
+    states can be changed, and the next vector, the walks and the weak trace
+    stay as they were."""
     c = build_circuit(bench, "bit0")
     first = circuit.two_state_vector(c, "det0")
     want = [[items(s) for s in walk] for walk in (first.forward, first.backward)]
     trace = circuit.weak_trace(c, "det0")
     for s in first.forward + first.backward:
-        s.amps.clear()
+        try_to_change(s)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.forward = ()
     again = circuit.two_state_vector(c, "det0")
+    assert again.forward is first.forward and again.backward is first.backward
     assert [[items(s) for s in walk] for walk in (again.forward, again.backward)] == want
-    assert [items(s) for s in propagate_cuts(c)] == want[0]
-    assert [items(s) for s in circuit.backward_cuts(c, "det0")] == want[1]
+    assert propagate_cuts(c) is first.forward
+    assert circuit.backward_cuts(c, "det0") is first.backward
     assert circuit.weak_trace(c, "det0") == trace
 
 
@@ -217,10 +236,10 @@ def test_both_orders_read_one_forward_walk(bench, first):
     and equal the order-2 reference walk: order 1 bit for bit on the tags
     with fewer than two kicks, order 2 within rounding."""
     c = build_circuit(bench, "bit1")
-    circuit._cuts.cache_clear()
+    circuit.propagate_cuts.cache_clear()
     got = {order: detection_probs(c, max_order=order)
            for order in (first, 3 - first)}
-    assert circuit._cuts.cache_info().misses == 1
+    assert circuit.propagate_cuts.cache_info().misses == 1
     walk = oracles.order2_terminal(c)
     assert len(walk) > len(propagate(c).amps)
     for d in c.detectors:

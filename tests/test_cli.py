@@ -360,6 +360,26 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, image_path):
     assert code == 2 and "photon_rate_hz" in err
 
 
+@pytest.mark.parametrize("digits,field,argv", [
+    (401, ("photon_rate_hz",), ("source-filter",)),
+    (401, ("eoms", "entry", "alpha"), ("trace", "--preset", "bit1", "--detector", "det1")),
+    # more digits than int() converts: json itself refuses the number
+    (5001, ("photon_rate_hz",), ("source-filter",)),
+], ids=["rate", "alpha", "past-int-digits"])
+def test_huge_config_integer_exits_2_without_traceback(tmp_path, digits, field, argv):
+    """In a child, where a traceback would reach stderr."""
+    doc = reference_dict()
+    node = doc if len(field) == 1 else doc[field[0]][field[1]]
+    node[field[-1]] = "@huge@"
+    (tmp_path / "huge.json").write_text(
+        json.dumps(doc).replace('"@huge@"', "1" + "0" * (digits - 1)))
+    proc = subprocess.run([sys.executable, "-m", "cfcomm", "--config", "huge.json",
+                           *argv], capture_output=True, cwd=tmp_path, env=child_env())
+    err = proc.stderr.decode()
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_trials_used_counts_past_int64(tmp_path, capsys):
     """4e18 trials per bin and 1e-30 heralding: all six pixels erased."""
     doc = reference_dict()

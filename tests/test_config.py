@@ -67,6 +67,29 @@ def test_malformed_config_is_rejected(path, value):
         config_from_dict(doc)
 
 
+#: a JSON integer that ``float`` cannot take
+PAST_FLOAT_RANGE = 10 ** 400
+
+#: (where the integer goes, the value put there, the field the error names)
+HUGE_INTEGERS = [
+    (("photon_rate_hz",), PAST_FLOAT_RANGE, "photon_rate_hz"),
+    (("eoms", "entry", "alpha"), PAST_FLOAT_RANGE, "alpha"),
+    (("beamsplitter_r2",), {"outer": PAST_FLOAT_RANGE, "inner_near": 0.5,
+                            "inner_far": 0.5}, "beamsplitter_r2"),
+    (("imperfections", "dark_rate"), PAST_FLOAT_RANGE, "dark_rate"),
+]
+
+
+@pytest.mark.parametrize("path,value,name", HUGE_INTEGERS,
+                         ids=[".".join(p) for p, _, _ in HUGE_INTEGERS])
+def test_integer_past_the_float_range_is_named(tmp_path, path, value, name):
+    """``float`` raises OverflowError on such an integer: refused by name."""
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(with_value(reference_dict(), path, value)))
+    with pytest.raises(ConfigError, match=f"^{name} must be a finite number"):
+        load_config(bad)
+
+
 @pytest.mark.parametrize("path", UNKNOWN_KEYS, ids=lambda p: ".".join(map(str, p)))
 def test_unknown_key_is_named(path):
     doc = with_value(reference_dict(), path, 0.5)

@@ -101,7 +101,7 @@ def test_twin_gives_identical_terminal_states(bench, preset, order):
             list(fresh.items()))
     probs = {d: oracles.detector_prob(fresh, d) for d in sorted(direct.detectors)}
     for c in (twin, direct):
-        circuit._cuts.cache_clear()
+        circuit.propagate_cuts.cache_clear()
         for d in (c, direct if c is twin else twin):
             got = detection_probs(d, max_order=order)
             assert got.keys() == probs.keys()
@@ -112,7 +112,7 @@ def test_twin_gives_identical_terminal_states(bench, preset, order):
                 assert repr(list(propagate(d).amps.items())) == repr(
                     list(fresh.items()))
         hits = 3 if order == 1 else 1  # every later read hits the first walk
-        assert circuit._cuts.cache_info()[:2] == (hits, 1)
+        assert circuit.propagate_cuts.cache_info()[:2] == (hits, 1)
 
 
 def test_from_config_sets_shutter_by_preset(bench):

@@ -1,6 +1,7 @@
 """Element-level checks: splitter algebra, modulator sidebands, adjoints."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -50,9 +51,8 @@ def test_tag_instances_are_distinct_components():
 
 def test_tag_prob_sums_instances_incoherently():
     """The reference intensity per label, which the modulator tests read."""
-    state = PhotonState()
-    state.amps[("a", (("B", +1, 1),))] = 0.3 + 0j
-    state.amps[("a", (("B", +1, 2),))] = -0.3 + 0j
+    state = PhotonState({("a", (("B", +1, 1),)): 0.3 + 0j,
+                         ("a", (("B", +1, 2),)): -0.3 + 0j})
     assert oracles.tag_prob(state.amps, "a", "B") == pytest.approx(0.18)
     assert state.carrier_prob("a") == 0.0
     # an arm without components reads a float zero, not the int 0
@@ -102,15 +102,13 @@ def test_splitter_emits_tags_in_label_sign_instance_order():
             (("B", +1, 1),), (("B", +1, 2),), (("B", +1, 3),)]
     scrambled = [want[i] for i in (8, 1, 4, 6, 0, 7, 5, 3, 2)]
     bs = Beamsplitter(0.4, "a", "b", "c", "d")
-    state = PhotonState()
-    for i, tag in enumerate(scrambled):
-        state.amps[("ab"[i % 2], tag)] = 0.1 * (i + 1) + 0j
+    state = PhotonState({("ab"[i % 2], tag): 0.1 * (i + 1) + 0j
+                         for i, tag in enumerate(scrambled)})
     out = apply_element(state, bs)
     assert [tag for tag, _ in out.components("c")] == want
     assert [tag for tag, _ in out.components("d")] == want
-    state = PhotonState()
-    for i, tag in enumerate(scrambled):
-        state.amps[("cd"[i % 2], tag)] = 0.1 * (i + 1) + 0j
+    state = PhotonState({("cd"[i % 2], tag): 0.1 * (i + 1) + 0j
+                         for i, tag in enumerate(scrambled)})
     back = apply_adjoint(state, bs)
     assert [tag for tag, _ in back.components("a")] == want
 
@@ -197,9 +195,7 @@ step_entries = st.lists(st.tuples(
 def test_step_equals_the_generic_loop(element, adjoint, entries):
     """Same items, same order, same reprs (signed zeros included) as the
     plain loop over ports, forward and adjoint."""
-    state = PhotonState()
-    for arm, tag, a in entries:
-        state.amps[(arm, tag)] = a
+    state = PhotonState(dict(((arm, tag), a) for arm, tag, a in entries))
     before = repr(list(state.amps.items()))
     step = apply_adjoint if adjoint else apply_element
     got = step(state, element).amps
@@ -209,11 +205,26 @@ def test_step_equals_the_generic_loop(element, adjoint, entries):
     assert repr(list(state.amps.items())) == before
 
 
+def test_states_are_read_only_values():
+    """A state shows its dict read-only and cannot be rebound; so does every
+    step's result, forward and adjoint, and the step's input stays as it
+    was."""
+    state = PhotonState({("a", CARRIER): 0.6 + 0j, ("b", B1): 0.8j})
+    before = repr(list(state.amps.items()))
+    outs = [step(state, e) for step in (apply_element, apply_adjoint)
+            for e in (*STEP_ELEMENTS, Eom("a", "B", 1.0, 0.1))]
+    for s in (PhotonState(), PhotonState.from_sources([("a", 1.0)]), state, *outs):
+        with pytest.raises(TypeError):
+            s.amps[("a", CARRIER)] = 1j
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.amps = {}
+    assert repr(list(state.amps.items())) == before
+
+
 # -- phase shift, attenuator, block, mirror --------------------------------
 
 def test_phase_shift_rotates_every_tag():
-    state = two_mode(0.5, 0.0)
-    state.amps[("a", B1)] = 0.1 + 0j
+    state = PhotonState({**two_mode(0.5, 0.0).amps, ("a", B1): 0.1 + 0j})
     out = apply_element(state, PhaseShift("a", math.pi / 2))
     assert out.amp("a") == pytest.approx(0.5j)
     assert out.amp("a", B1) == pytest.approx(0.1j)
@@ -235,8 +246,7 @@ def test_attenuator_range_checked():
 
 
 def test_block_moves_all_power_to_loss():
-    state = two_mode(0.6, 0.8)
-    state.amps[("a", (("A", +1, 1),))] = 0.11 + 0j
+    state = PhotonState({**two_mode(0.6, 0.8).amps, ("a", (("A", +1, 1),)): 0.11 + 0j})
     out = apply_element(state, Block("a", "loss"))
     assert out.mode_prob("a") == 0.0
     assert out.mode_prob("loss") == pytest.approx(0.36 + 0.11 ** 2)
@@ -282,7 +292,7 @@ def test_modulator_truncates_at_max_order():
     deeper = oracles.order2_pass(once.amps, "a", "B", 0.2, 1)
     assert deeper[("a", B1 + B1)] == pytest.approx(0.04)
     assert repr({k: a for k, a in deeper.items() if len(k[1]) < 2}) == repr(
-        twice.amps)
+        dict(twice.amps))
 
 
 def test_modulator_distinct_instances_do_not_interfere():
@@ -291,7 +301,7 @@ def test_modulator_distinct_instances_do_not_interfere():
     state = apply_element(state, Eom("a", "B", 1.0, 0.1, instance=1))
     state = apply_element(state, PhaseShift("a", math.pi))
     # flip only the carrier back so pass 2 adds -0.1 against pass 1's +0.1
-    state.amps[("a", CARRIER)] = -state.amps[("a", CARRIER)]
+    state = PhotonState({**state.amps, ("a", CARRIER): -state.amp("a")})
     state = apply_element(state, Eom("a", "B", 1.0, 0.1, instance=2))
     assert oracles.tag_prob(state.amps, "a", "B") == pytest.approx(2 * 2 * 0.1 ** 2)
 
@@ -311,7 +321,7 @@ def test_modulator_rf_average_matches_instance_model():
 
     state = two_mode(amps[0], 0.0)
     state = apply_element(state, Eom("a", "B", 1.0, 0.1, instance=1))
-    state.amps[("a", CARRIER)] = amps[1]
+    state = PhotonState({**state.amps, ("a", CARRIER): amps[1]})
     state = apply_element(state, Eom("a", "B", 1.0, 0.1, instance=2))
     tagged = oracles.tag_prob(state.amps, "a", "B")
 

@@ -79,11 +79,11 @@ def test_sector_probs_match_grid_average(bench, monkeypatch):
         cfg = dataclasses.replace(bench, beamsplitter_r2=r2, attenuator_t="auto")
         for preset in circuit.PRESETS:
             calls.clear()
-            walks = circuit._cuts.cache_info().misses
+            walks = circuit.propagate_cuts.cache_info().misses
             got = sector_probs(cfg, preset)
             c = circuit.build_circuit(cfg, preset, include_eoms=False)
             assert len(calls) == len(c.elements)
-            assert circuit._cuts.cache_info().misses == walks
+            assert circuit.propagate_cuts.cache_info().misses == walks
             want = oracles.grid_sectors(lambda d, t: probs(c, d, t))
             for sector, (p0, p1) in want.items():
                 assert got[sector][0] == pytest.approx(p0, abs=1e-14), sector

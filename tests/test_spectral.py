@@ -418,10 +418,10 @@ def test_scan_grid_and_guards(bench):
 def test_unknown_detector_is_refused_before_any_walk(bench):
     """A refused scan neither walks its circuit nor evicts a cached walk."""
     c = build_circuit(bench, "bit0")
-    circuit._cuts.cache_clear()
+    circuit.propagate_cuts.cache_clear()
     with pytest.raises(TopologyError, match="detector"):
         scan_spectrum(c, "det9", bench.scan_etalon, bench.eoms, noise=False)
-    assert circuit._cuts.cache_info()[:2] == (0, 0)  # no hit, no miss
+    assert circuit.propagate_cuts.cache_info()[:2] == (0, 0)  # no hit, no miss
 
 
 @pytest.mark.filterwarnings("ignore:scan range")

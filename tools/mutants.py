@@ -45,6 +45,7 @@ CONFIG_TESTS = "tests/test_config.py::"
 CRITERION_9 = "tests/test_acceptance.py::test_criterion_9_folding_equivalence"
 LISTING_TESTS = "tests/test_folded.py::test_expansion_matches_direct_build_exactly"
 CASCADE_SEARCH_TESTS = "tests/test_spectral.py::test_source_cascade_equals_the_full_grid_search"
+RANDOM_TESTS = "tests/test_random_circuits.py::"
 
 #: (name, file, snippet, replacement, node ids that must fail)
 MUTANTS = (
@@ -85,23 +86,46 @@ MUTANTS = (
      ("tests/test_optics.py::test_modulator_distinct_instances_do_not_interfere",
       "tests/test_optics.py::test_modulator_rf_average_matches_instance_model",
       "tests/test_acceptance.py::test_criterion_2_doubling_ratio")),
-    ("terminal-handed-out-uncopied", CIRCUIT,
-     "    return _cuts(circuit)[-1].copy()",
-     "    return _cuts(circuit)[-1]",
-     ("tests/test_circuit.py::test_propagate_hands_out_copies",)),
-    ("cuts-handed-out-uncopied", CIRCUIT,
-     "[state.copy() for state in _cuts(circuit)]",
-     "list(_cuts(circuit))",
-     ("tests/test_circuit.py::test_propagate_cuts_hands_out_copies",)),
-    ("backward-handed-out-uncopied", CIRCUIT,
-     "[state.copy() for state in _bcuts(circuit, detector)]",
-     "list(_bcuts(circuit, detector))",
-     ("tests/test_circuit.py::test_backward_cuts_hands_out_copies",)),
-    ("two-state-walks-handed-out-uncopied", CIRCUIT,
-     "TwoStateVector(tuple(s.copy() for s in fwd),\n"
-     "                          tuple(s.copy() for s in bwd), ps, detector)",
-     "TwoStateVector(fwd, bwd, ps, detector)",
-     ("tests/test_circuit.py::test_two_state_vector_hands_out_copies",)),
+    # states are read-only values, and the walks are shared, not copied
+    ("state-amps-writable", OPTICS,
+     '        object.__setattr__(self, "amps", MappingProxyType(self.amps))\n',
+     "        pass\n",
+     ("tests/test_optics.py::test_states_are_read_only_values",
+      "tests/test_circuit.py::test_propagate_hands_out_the_shared_read_only_state",
+      "tests/test_circuit.py::test_propagate_cuts_hands_out_one_read_only_walk",
+      RANDOM_TESTS + "test_drawn_circuit_walks_are_shared_and_read_only")),
+    ("state-rebindable", OPTICS,
+     "@dataclass(frozen=True)\nclass PhotonState:",
+     "@dataclass\nclass PhotonState:",
+     ("tests/test_optics.py::test_states_are_read_only_values",
+      "tests/test_circuit.py::test_backward_cuts_hands_out_one_read_only_walk",
+      "tests/test_circuit.py::test_two_state_vector_hands_out_the_shared_walks")),
+    ("forward-walk-uncached", CIRCUIT,
+     "@lru_cache(maxsize=RESULT_CACHE_SIZE)\ndef propagate_cuts(",
+     "def propagate_cuts(",
+     ("tests/test_circuit.py::test_propagate_hands_out_the_shared_read_only_state",
+      "tests/test_circuit.py::test_propagate_cuts_hands_out_one_read_only_walk",
+      RANDOM_TESTS + "test_drawn_circuit_walks_are_shared_and_read_only")),
+    ("backward-walk-a-list", CIRCUIT,
+     "    cuts.reverse()\n    return tuple(cuts)",
+     "    cuts.reverse()\n    return cuts",
+     ("tests/test_circuit.py::test_backward_cuts_hands_out_one_read_only_walk",)),
+    ("two-state-vector-copies-forward", CIRCUIT,
+     "return TwoStateVector(fwd, bwd, ps, detector)",
+     "return TwoStateVector(tuple(PhotonState(dict(s.amps)) for s in fwd),\n"
+     "                          bwd, ps, detector)",
+     ("tests/test_circuit.py::test_two_state_vector_hands_out_the_shared_walks",)),
+    # faults no nested bench shows, having one source and a vacuum on the
+    # second in-port of every splitter: the random circuits catch them
+    ("walk-from-first-source-only", CIRCUIT,
+     "cuts = [PhotonState.from_sources(circuit.sources)]",
+     "cuts = [PhotonState.from_sources(circuit.sources[:1])]",
+     (RANDOM_TESTS + "test_every_step_of_a_drawn_circuit_is_the_plain_loop",
+      RANDOM_TESTS + "test_drawn_circuit_probabilities_and_overlaps")),
+    ("vacuum-on-second-port-only", CIRCUIT,
+     'vacuum = arm == "virgin" and len(ins) > 1 and m not in outs',
+     'vacuum = arm == "virgin" and len(ins) > 1 and m == ins[-1]',
+     (RANDOM_TESTS + "test_every_step_of_a_drawn_circuit_is_the_plain_loop",)),
     # the cut after the pass holds the sidebands this pass just wrote
     ("order2-reads-cut-after-pass", CIRCUIT,
      "cuts[k].components(e.mode)",
@@ -157,8 +181,8 @@ MUTANTS = (
      ("tests/test_protocol.py::test_sector_probabilities_match_closed_form[bit0-table0]",
       "tests/test_protocol.py::test_sector_probs_match_grid_average")),
     ("mark-keeps-unmarked", PROTOCOL,
-     "state.amps = {(m, tag + (kick,) if m == arm else tag): a",
-     "state.amps |= {(m, tag + (kick,) if m == arm else tag): a",
+     "state = PhotonState({(m, tag + (kick,) if m == arm else tag): a",
+     "state = PhotonState(dict(state.amps) | {(m, tag + (kick,) if m == arm else tag): a",
      ("tests/test_protocol.py::test_sector_probabilities_match_closed_form[bit0-table0]",
       "tests/test_protocol.py::test_sector_probabilities_match_closed_form[bit1-table1]",
       "tests/test_protocol.py::test_sector_probs_match_grid_average")),
