@@ -51,7 +51,6 @@ def cmd_spectrum(args) -> int:
         c, args.detector, cfg.scan_etalon, cfg.eoms,
         half_range_ghz=args.half_range, step_ghz=args.step,
         photons=args.photons, seed=seed, noise=not args.no_noise)
-    spec.tuning = args.preset
     spec.intensity  # the CSV reads the whole grid: draw it once, peaks included
 
     cal_circuit = ci.build_circuit(cfg, "calibration")
@@ -61,6 +60,7 @@ def cmd_spectrum(args) -> int:
         photons=args.photons, seed=seed, noise=False)
     calibration = sp.extract_peaks(cal_spec, cfg.eoms)
     table = sp.extract_peaks(spec, cfg.eoms, calibration=calibration)
+    table.tuning = args.preset
     spec.to_csv(args.out)  # last step that can fail: no CSV from a failed run
     _emit(table.to_jsonable())
     return 0

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,8 +61,8 @@ _DRIFT_MARKS = ((REFERENCE, ("w", 1, 0)), (SHUTTER_1, ("z", 1, 0)),
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=RESULT_CACHE_SIZE)
-def sector_probs(cfg: DeviceConfig, preset: str) -> dict[str, tuple[float, float]]:
-    """(det0, det1) probabilities in the four drift sectors of one preset.
+def sector_probs(cfg: DeviceConfig, preset: str) -> MappingProxyType:
+    """Read-only (det0, det1) probabilities in the drift sectors of one preset.
 
     Keys are two letters, inner loop first: 'c' coherent, 'd' dephased.
     A detector amplitude is ``sum c_jk z^j w^k`` in the inner drift
@@ -94,8 +95,8 @@ def sector_probs(cfg: DeviceConfig, preset: str) -> dict[str, tuple[float, float
     dc = (np.abs(rows) ** 2).sum(axis=0)
     cd = (np.abs(coeffs.sum(axis=0)) ** 2).sum(axis=0)
     dd = (np.abs(coeffs) ** 2).sum(axis=(0, 1))
-    return {name: (float(p[0]), float(p[1]))
-            for name, p in (("cc", cc), ("dc", dc), ("cd", cd), ("dd", dd))}
+    return MappingProxyType({name: (float(p[0]), float(p[1])) for name, p in
+                             (("cc", cc), ("dc", dc), ("cd", cd), ("dd", dd))})
 
 
 def mixture_probs(cfg: DeviceConfig, preset: str,

@@ -8,10 +8,11 @@ Poisson per scan point, with error bars estimated from independent
 Monte-Carlo replicas.  Point ``j`` draws its count from ``substream(seed,
 0, j)`` and its replicas from ``substream(seed, 1, j)``, so results do not
 depend on evaluation order; :func:`~cfcomm.rand.point_poisson` draws them
-from one re-keyed Philox.  A noisy spectrum draws its counts when they are
+from one re-keyed Philox.  A spectrum is a read-only value of its grid,
+expected counts and noise seed; a noisy one draws its counts when they are
 read, and only at the points read: peak extraction draws the carrier and
-sideband points, a full read the whole grid.  A scan grid holds at most
-``MAX_SCAN_POINTS`` points.
+sideband points, a full read the whole grid, once.  A scan grid holds at
+most ``MAX_SCAN_POINTS`` points.
 
 The worst side peak of a source cascade is searched on a fine grid, but the
 profile is evaluated only where it could reach it: an upper bound per block
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -195,62 +197,70 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
 # detected spectra
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sampled detected intensity vs. scan detuning, with counting errors.
+    """Expected counts vs. scan detuning, read with counting noise.
 
-    A noisy scan from :func:`scan_spectrum` keeps its expected counts and
-    its seed and draws the counts when they are read: :func:`extract_peaks`
-    draws only the points it reads, and reading ``intensity`` or ``stderr``
-    draws the whole grid once.  Each point has its own substreams, so both
-    give the same values at a point.
+    A read-only value: no field rebinds and no array takes a write (the
+    caller's arrays are copied).  Without a ``seed`` the counts are the
+    expected ones with zero error bars.  A noisy scan draws its counts when
+    they are read, each point from substreams of its own: :meth:`counts`
+    draws only the points asked for, ``intensity`` and ``stderr`` the whole
+    grid once, which later reads index.
     """
 
-    def __init__(self, detuning_ghz: np.ndarray, intensity: np.ndarray,
-                 stderr: np.ndarray, detector: str, scan_etalon: Etalon,
-                 tuning: str = ""):
-        shape = np.shape(detuning_ghz)
-        if len(shape) != 1 or shape[0] < 2:
-            raise ConfigError(f"a spectrum needs a 1-D grid of at least 2 "
-                              f"points, got shape {shape}")
-        if np.shape(intensity) != shape or np.shape(stderr) != shape:
-            raise ConfigError(
-                f"spectrum intensity and stderr must have the grid's shape "
-                f"{shape}, got {np.shape(intensity)} and {np.shape(stderr)}")
-        if np.any(np.diff(detuning_ghz) <= 0):
-            raise ConfigError("spectrum detunings must be strictly increasing")
-        if np.any(intensity < 0):
-            raise ConfigError("spectrum intensities must be non-negative")
-        self.detuning_ghz, self.detector = detuning_ghz, detector
-        self.scan_etalon, self.tuning = scan_etalon, tuning
-        self._intensity, self._stderr = intensity, stderr
-        #: seed of the counts not drawn yet; until they are, ``_intensity``
-        #: holds their expected values
-        self._seed = None
+    detuning_ghz: np.ndarray
+    expected: np.ndarray
+    detector: str
+    scan_etalon: Etalon
+    seed: int | None = None
 
-    def _at(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Intensities and error bars at the grid indices ``points``."""
-        if self._seed is None:
-            return self._intensity[points], self._stderr[points]
-        lam = self._intensity[points]
-        return (point_poisson(self._seed, 0, points, lam).astype(float),
-                np.std(point_poisson(self._seed, 1, points, lam, 100),
+    def __post_init__(self):
+        grid = np.array(self.detuning_ghz, dtype=float)
+        expected = np.array(self.expected, dtype=float)
+        if grid.ndim != 1 or grid.size < 2:
+            raise ConfigError(f"a spectrum needs a 1-D grid of at least 2 "
+                              f"points, got shape {grid.shape}")
+        if expected.shape != grid.shape:
+            raise ConfigError(f"spectrum expected counts must have the grid's "
+                              f"shape {grid.shape}, got {expected.shape}")
+        if np.any(np.diff(grid) <= 0):
+            raise ConfigError("spectrum detunings must be strictly increasing")
+        if np.any(expected < 0):
+            raise ConfigError("spectrum expected counts must be non-negative")
+        if self.seed is not None and expected.max() > POISSON_LAM_MAX:
+            raise ConfigError(
+                f"expected count {expected.max():.3g} exceeds the Poisson "
+                f"sampler's limit {POISSON_LAM_MAX:.3g}; lower the photon number")
+        for name, a in (("detuning_ghz", grid), ("expected", expected)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def counts(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Counts and error bars at the grid indices ``points``."""
+        full = self.__dict__.get("_full_read")  # there once a full read is made
+        if full is not None:
+            return full[0][points], full[1][points]
+        lam = self.expected[points]
+        if self.seed is None:
+            return lam, np.zeros_like(lam)
+        return (point_poisson(self.seed, 0, points, lam).astype(float),
+                np.std(point_poisson(self.seed, 1, points, lam, 100),
                        axis=1, ddof=1))
 
-    def _draw(self) -> None:
-        if self._seed is not None:
-            self._intensity, self._stderr = self._at(
-                np.arange(self.detuning_ghz.size))
-            self._seed = None
+    @cached_property
+    def _full_read(self) -> tuple[np.ndarray, np.ndarray]:
+        intensity, stderr = self.counts(np.arange(self.expected.size))
+        intensity.flags.writeable = stderr.flags.writeable = False
+        return intensity, stderr
 
     @property
     def intensity(self) -> np.ndarray:
-        self._draw()
-        return self._intensity
+        return self._full_read[0]
 
     @property
     def stderr(self) -> np.ndarray:
-        self._draw()
-        return self._stderr
+        return self._full_read[1]
 
     def to_csv(self, path) -> None:
         try:
@@ -275,9 +285,6 @@ class Spectrum:
             raise ConfigError(f"spectrum does not cover detuning "
                               f"{float(detunings[np.argmax(off)])} GHz")
         return idx
-
-    def nearest_index(self, detuning: float) -> int:
-        return int(self.nearest_indices([detuning])[0])
 
 
 def detector_components(state: PhotonState, detector_mode: str,
@@ -347,16 +354,7 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
                              axis=0)
     expected *= photons
 
-    spec = Spectrum(detuning_ghz=grid, intensity=expected,
-                    stderr=np.zeros_like(expected), detector=detector,
-                    scan_etalon=scan)
-    if noise:
-        if expected.max() > POISSON_LAM_MAX:
-            raise ConfigError(
-                f"expected count {expected.max():.3g} exceeds the Poisson "
-                f"sampler's limit {POISSON_LAM_MAX:.3g}; lower the photon number")
-        spec._seed = seed  # counts are drawn from the expected ones when read
-    return spec
+    return Spectrum(grid, expected, detector, scan, seed if noise else None)
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +424,7 @@ def extract_peaks(s: Spectrum, eoms,
         positions.extend((+freq[lab], -freq[lab]))
     # each position's grid point, found once for the heights and error bars
     idx = s.nearest_indices(positions)
-    y, err = s._at(idx)
+    y, err = s.counts(idx)
     # The measured spectrum is a sum of one Airy line per component, so the
     # intensities at the component positions form a small linear system
     # whose solution removes every peak's tail from every other peak: this
@@ -444,7 +442,7 @@ def extract_peaks(s: Spectrum, eoms,
         if calibration.carrier_height <= 0.0:
             raise ConfigError("calibration table has no carrier reference")
 
-    table = PeakTable(carrier_height=carrier, detector=s.detector, tuning=s.tuning)
+    table = PeakTable(carrier_height=carrier, detector=s.detector)
     for i, lab in enumerate(labels):
         h_up = float(heights[1 + 2 * i])
         h_dn = float(heights[2 + 2 * i])

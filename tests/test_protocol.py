@@ -101,6 +101,19 @@ def test_closed_shutter_sectors_do_not_see_the_inner_loop(asymmetric):
         assert len(err1) == 1, err1
 
 
+def test_sector_table_is_read_only(bench):
+    """Every caller shares the cached table, so it takes no write: the
+    channel and the mixtures read afterwards are those read before."""
+    def reads():
+        return ([trial_probs(bench, bit) for bit in (0, 1)],
+                [mixture_probs(bench, preset, 0.9, 0.8) for preset in ("bit0", "bit1")])
+
+    before = reads()
+    with pytest.raises(TypeError):
+        sector_probs(bench, "bit0")["cc"] = (0.0, 1.0)
+    assert reads() == before
+
+
 @pytest.mark.parametrize("preset", ["bit0", "bit1"])
 @given(vi=st.floats(0.0, 1.0), vo=st.floats(0.0, 1.0))
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 """Etalon filters, spectrum scans, peak extraction."""
 
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -223,8 +224,7 @@ def test_noise_off_carrier_height_is_exact(bench):
 def test_noise_off_peaks_sit_at_modulation_frequencies(bench):
     s = noise_off(bench, "calibration", "det0")
     for spec in bench.eoms:
-        iu = s.nearest_index(+spec.freq_ghz)
-        idn = s.nearest_index(-spec.freq_ghz)
+        iu, idn = s.nearest_indices([+spec.freq_ghz, -spec.freq_ghz])
         # each line tops its immediate neighbourhood and scans symmetrically
         assert s.intensity[iu] == s.intensity[iu - 2:iu + 3].max()
         assert s.intensity[iu] > 1.5 * min(s.intensity[iu - 2], s.intensity[iu + 2])
@@ -314,7 +314,7 @@ def test_noisy_scan_is_reproducible_and_plausible(bench):
     assert not np.array_equal(s1.intensity, s3.intensity)
     # Poisson draws are whole counts with positive spread at the carrier
     assert np.array_equal(s1.intensity, np.round(s1.intensity))
-    i0 = s1.nearest_index(0.0)
+    i0 = s1.nearest_indices([0.0])[0]
     mu = 1e5 * 25 / 64
     assert abs(s1.intensity[i0] - mu) < 6 * math.sqrt(mu)
     assert s1.stderr[i0] == pytest.approx(math.sqrt(mu), rel=0.5)
@@ -372,7 +372,7 @@ def test_extract_peaks_draws_only_the_points_it_reads(bench, monkeypatch):
     extract_peaks(s, bench.eoms)
     positions = [0.0] + [f for e in sorted(bench.eoms, key=lambda e: e.label)
                          for f in (e.freq_ghz, -e.freq_ghz)]
-    want = [s.nearest_index(p) for p in positions]
+    want = s.nearest_indices(positions).tolist()
     assert len(want) == 11 and drawn == [(0, want), (1, want)]
     drawn.clear()
     n = s.detuning_ghz.size
@@ -437,27 +437,51 @@ def test_spectrum_csv_round_trips(bench, tmp_path):
 
 
 def test_spectrum_validation():
+    scan = Etalon(8.0, 0.1)
     with pytest.raises(ConfigError, match="increasing"):
-        Spectrum(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2),
-                 "det0", Etalon(8.0, 0.1))
+        Spectrum(np.array([0.0, 0.0]), np.zeros(2), "det0", scan)
     with pytest.raises(ConfigError, match="non-negative"):
-        Spectrum(np.array([0.0, 1.0]), np.array([1.0, -2.0]), np.zeros(2),
-                 "det0", Etalon(8.0, 0.1))
+        Spectrum(np.array([0.0, 1.0]), np.array([1.0, -2.0]), "det0", scan)
     # short arrays would write a short CSV; one point has no grid step
     with pytest.raises(ConfigError, match="grid's shape"):
-        Spectrum(np.array([0.0, 1.0, 2.0]), np.zeros(2), np.zeros(5),
-                 "det0", Etalon(8.0, 0.1))
+        Spectrum(np.array([0.0, 1.0, 2.0]), np.zeros(2), "det0", scan)
     with pytest.raises(ConfigError, match="at least 2 points"):
-        Spectrum(np.array([0.0]), np.zeros(1), np.zeros(1),
-                 "det0", Etalon(8.0, 0.1))
+        Spectrum(np.array([0.0]), np.zeros(1), "det0", scan)
+    # only a noisy spectrum is bound by the Poisson sampler
+    huge = np.array([1.0, 1e19])
+    assert Spectrum(np.array([0.0, 1.0]), huge, "det0", scan).counts(1)[0] == 1e19
+    with pytest.raises(ConfigError, match="Poisson"):
+        Spectrum(np.array([0.0, 1.0]), huge, "det0", scan, seed=0)
+
+
+def test_spectra_are_read_only_values(bench):
+    """No field rebinds and no array takes a write, so the peaks read after
+    every attempt equal those of a fresh scan; the caller's arrays are
+    copied, not frozen."""
+    grid, counts = np.linspace(-1.0, 1.0, 5), np.ones(5)
+    s = Spectrum(grid, counts, "det0", bench.scan_etalon, seed=0)
+    grid[0] = counts[0] = 7.0  # still the caller's to write
+    assert s.detuning_ghz[0] == -1.0 and s.expected[0] == 1.0
+    for scan in (lambda: noise_off(bench, "bit1", "det1"), lambda: noisy_bit1(bench)):
+        s = scan()
+        for name, value in [("detuning_ghz", s.detuning_ghz + 1.0),
+                            ("expected", s.expected * 0.0), ("detector", "det0"),
+                            ("scan_etalon", Etalon(8.0, 0.1)), ("seed", 1)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, value)
+        for a in (s.detuning_ghz, s.expected, s.intensity, s.stderr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = 0.0
+        assert (extract_peaks(s, bench.eoms).to_jsonable()
+                == extract_peaks(scan(), bench.eoms).to_jsonable())
 
 
 @pytest.mark.filterwarnings("ignore:scan range")
 def test_nearest_index_rejects_off_grid(bench):
     s = noise_off(bench, "bit0", "det0", half_range_ghz=1.0)
-    assert s.nearest_index(0.05) == s.detuning_ghz.size // 2 + 1
+    assert s.nearest_indices([0.05]).tolist() == [s.detuning_ghz.size // 2 + 1]
     with pytest.raises(ConfigError, match="cover"):
-        s.nearest_index(1.5)
+        s.nearest_indices([1.5])
 
 
 @pytest.mark.filterwarnings("ignore:scan range")
@@ -473,7 +497,7 @@ def test_nearest_indices_equal_the_per_point_argmin(bench, points):
     want = [int(np.argmin(np.abs(grid - p))) for p in points]
     if all(abs(grid[i] - p) <= 0.51 * step for i, p in zip(want, points)):
         assert s.nearest_indices(points).tolist() == want
-        assert [s.nearest_index(p) for p in points] == want
+        assert [int(s.nearest_indices([p])[0]) for p in points] == want
     else:
         with pytest.raises(ConfigError, match="cover"):
             s.nearest_indices(points)
@@ -483,7 +507,7 @@ def test_nearest_indices_equal_the_per_point_argmin(bench, points):
 def test_nearest_index_refuses_nan(bench):
     s = noise_off(bench, "bit0", "det0", half_range_ghz=1.0)
     with pytest.raises(ConfigError, match="cover detuning nan"):
-        s.nearest_index(math.nan)
+        s.nearest_indices([math.nan])
     with pytest.raises(ConfigError, match="cover detuning nan"):
         s.nearest_indices([0.0, math.nan])
 

@@ -345,22 +345,39 @@ MUTANTS = (
      ("tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1]",
       "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[5-37]",
       "tests/test_spectral.py::test_peaks_of_a_fresh_noisy_scan_equal_those_of_its_full_read[0]")),
-    # a full read that stays undrawn redraws from the counts on every read
+    # counts that ignore the full read draw the peak points once more
     ("full-read-not-kept", SPECTRAL,
-     "                np.arange(self.detuning_ghz.size))\n"
-     "            self._seed = None",
-     "                np.arange(self.detuning_ghz.size))",
+     'full = self.__dict__.get("_full_read")',
+     "full = None",
      ("tests/test_spectral.py::test_extract_peaks_draws_only_the_points_it_reads",
-      "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1000000.0]")),
+      CLI_TESTS + "test_noisy_spectrum_draws_each_point_once")),
     # the peaks draw their 11 points, then the CSV the whole grid again
     ("spectrum-drawn-after-peaks", CLI,
      "    spec.intensity  # the CSV reads the whole grid: draw it once, peaks included\n",
      "",
      (CLI_TESTS + "test_noisy_spectrum_draws_each_point_once",)),
     ("no-poisson-limit", SPECTRAL,
-     "if expected.max() > POISSON_LAM_MAX:",
+     "if self.seed is not None and expected.max() > POISSON_LAM_MAX:",
      "if False:",
-     (CLI_TESTS + "test_malformed_flags_and_unwritable_paths_exit_2[photons 1e300]",)),
+     (CLI_TESTS + "test_malformed_flags_and_unwritable_paths_exit_2[photons 1e300]",
+      "tests/test_spectral.py::test_spectrum_validation")),
+    # spectra and the sector table are read-only values
+    ("spectrum-rebindable", SPECTRAL,
+     "@dataclass(frozen=True, eq=False)\nclass Spectrum:",
+     "@dataclass(eq=False)\nclass Spectrum:",
+     ("tests/test_spectral.py::test_spectra_are_read_only_values",)),
+    ("spectrum-arrays-writable", SPECTRAL,
+     "            a.flags.writeable = False\n            object.__setattr__",
+     "            object.__setattr__",
+     ("tests/test_spectral.py::test_spectra_are_read_only_values",)),
+    ("full-read-writable", SPECTRAL,
+     "        intensity.flags.writeable = stderr.flags.writeable = False\n",
+     "",
+     ("tests/test_spectral.py::test_spectra_are_read_only_values",)),
+    ("sector-table-writable", PROTOCOL,
+     "return MappingProxyType({name:",
+     "return dict({name:",
+     ("tests/test_protocol.py::test_sector_table_is_read_only",)),
 )
 
 
