@@ -233,7 +233,6 @@ class TwoStateVector:
     forward: tuple[PhotonState, ...]
     backward: tuple[PhotonState, ...]
     postselection: complex
-    detector: str
 
 
 def two_state_vector(circuit: Circuit, detector: str) -> TwoStateVector:
@@ -246,7 +245,7 @@ def two_state_vector(circuit: Circuit, detector: str) -> TwoStateVector:
         raise UndefinedPostselectionError(
             f"detector {detector} carrier probability {abs(ps) ** 2:.3e} below "
             f"{POSTSELECTION_FLOOR:g}; conditional quantities undefined")
-    return TwoStateVector(fwd, bwd, ps, detector)
+    return TwoStateVector(fwd, bwd, ps)
 
 
 def _consuming_indices(circuit: Circuit, arms) -> dict[str, int]:
@@ -276,7 +275,6 @@ class TraceReport:
 
     values: dict[str, float]
     postselection: complex
-    detector: str
 
 
 def weak_trace(circuit: Circuit, detector: str) -> TraceReport:
@@ -285,7 +283,7 @@ def weak_trace(circuit: Circuit, detector: str) -> TraceReport:
     values = {arm: abs(tsv.backward[k].amp(arm, CARRIER).conjugate()
                        * tsv.forward[k].amp(arm, CARRIER)) / aps
               for arm, k in _consuming_indices(circuit, REPORT_ARMS).items()}
-    return TraceReport(values, tsv.postselection, detector)
+    return TraceReport(values, tsv.postselection)
 
 
 def sideband_strengths(report: TraceReport, cfg: DeviceConfig) -> dict[str, float]:

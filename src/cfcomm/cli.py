@@ -12,6 +12,7 @@ detector has no carrier amplitude to condition on.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -59,8 +60,8 @@ def cmd_spectrum(args) -> int:
         half_range_ghz=args.half_range, step_ghz=args.step,
         photons=args.photons, seed=seed, noise=False)
     calibration = sp.extract_peaks(cal_spec, cfg.eoms)
-    table = sp.extract_peaks(spec, cfg.eoms, calibration=calibration)
-    table.tuning = args.preset
+    table = dataclasses.replace(sp.extract_peaks(
+        spec, cfg.eoms, calibration=calibration), tuning=args.preset)
     spec.to_csv(args.out)  # last step that can fail: no CSV from a failed run
     _emit(table.to_jsonable())
     return 0

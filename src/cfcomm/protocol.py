@@ -131,10 +131,6 @@ class TrialProbs:
     click0: float
     click1: float
 
-    @property
-    def click(self) -> float:
-        return self.click0 + self.click1
-
 
 def trial_probs(cfg: DeviceConfig, bit: int) -> TrialProbs:
     """Click probabilities including dark counts and heralding efficiency.
@@ -310,10 +306,6 @@ class BitResult:
     received: int | None
     trials: int
 
-    @property
-    def erased(self) -> bool:
-        return self.received is None
-
 
 def send_bit(cfg: DeviceConfig, bit: int, index: int = 0, *,
              policy: str = "first-click", seed: int | None = None) -> BitResult:
@@ -336,24 +328,28 @@ def send_bit(cfg: DeviceConfig, bit: int, index: int = 0, *,
 # bitmaps
 # --------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Bitmap:
-    """Binary image, flat row-major uint8 (0 = white, 1 = black as in PBM)."""
+    """Read-only binary image, flat row-major uint8 (0 = white, 1 = black as
+    in PBM): a copy of the caller's pixels, checked before any cast."""
 
     width: int
     height: int
     bits: np.ndarray
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8).reshape(-1)
+        raw = np.asarray(self.bits).reshape(-1)
         if self.width < 1 or self.height < 1:
             raise ConfigError("bitmap dimensions must be positive")
-        if self.bits.size != self.width * self.height:
+        if raw.size != self.width * self.height:
             raise ConfigError(
-                f"bitmap has {self.bits.size} pixels, expected "
+                f"bitmap has {raw.size} pixels, expected "
                 f"{self.width}x{self.height}")
-        if np.any(self.bits > 1):
+        if not np.isin(raw, (0, 1)).all():
             raise ConfigError("bitmap pixels must be 0 or 1")
+        bits = raw.astype(np.uint8)  # always a copy
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Bitmap) and self.width == other.width

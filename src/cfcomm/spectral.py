@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -368,7 +370,7 @@ class PeakEntry:
     height_over_calibration: float | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeakTable:
     """Per-label peak decisions plus the carrier height of the spectrum.
 
@@ -376,13 +378,16 @@ class PeakTable:
     height a single pass with full forward/backward overlap would produce,
     i.e. ``height / (alpha_label^2 x carrier height)`` of the same spectrum.
     A doubly-traversed modulator with unit overlap on both passes reads 2.0
-    in this unit.
+    in this unit.  The table and its ``labels`` (a copy) are read-only.
     """
 
-    labels: dict[str, PeakEntry] = field(default_factory=dict)
+    labels: Mapping[str, PeakEntry] = field(default_factory=dict)
     carrier_height: float = 0.0
     detector: str = ""
     tuning: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
 
     def to_jsonable(self) -> dict:
         return {
@@ -442,7 +447,7 @@ def extract_peaks(s: Spectrum, eoms,
         if calibration.carrier_height <= 0.0:
             raise ConfigError("calibration table has no carrier reference")
 
-    table = PeakTable(carrier_height=carrier, detector=s.detector)
+    entries = {}
     for i, lab in enumerate(labels):
         h_up = float(heights[1 + 2 * i])
         h_dn = float(heights[2 + 2 * i])
@@ -453,6 +458,6 @@ def extract_peaks(s: Spectrum, eoms,
         if calibration is not None and carrier > 0.0:
             unit = alpha[lab] ** 2 * carrier
             ratio = height / unit if unit > 0.0 else 0.0
-        table.labels[lab] = PeakEntry(present=height > floor, height=height,
-                                      height_over_calibration=ratio)
-    return table
+        entries[lab] = PeakEntry(present=height > floor, height=height,
+                                 height_over_calibration=ratio)
+    return PeakTable(entries, carrier, s.detector)

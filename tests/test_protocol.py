@@ -279,7 +279,7 @@ def test_two_path_contrast_equals_visibility(v):
 def test_trial_probs_ideal_matches_mixture(bench):
     tp = trial_probs(bench, 0)
     assert (tp.click0, tp.click1) == pytest.approx((1 / 64, 0.0), abs=1e-12)
-    assert tp.click == pytest.approx(1 / 64, abs=1e-12)
+    assert tp.click0 + tp.click1 == pytest.approx(1 / 64, abs=1e-12)
 
 
 def test_trial_probs_dark_and_heralding_algebra(bench):
@@ -318,7 +318,7 @@ def test_send_bit_agrees_with_block_decode(fitted, policy):
     res = transmit_image(fitted, image, policy=policy, seed=99)
     for i, bit in enumerate(bits):
         one = send_bit(fitted, int(bit), index=i, policy=policy, seed=99)
-        decoded = 0 if one.erased else one.received
+        decoded = 0 if one.received is None else one.received
         assert decoded == res.image.bits[i], i
 
 
@@ -447,10 +447,38 @@ def test_bitmap_validation():
         Bitmap(2, 2, np.zeros(3, dtype=np.uint8))
     with pytest.raises(ConfigError, match="0 or 1"):
         Bitmap(1, 1, np.array([2], dtype=np.uint8))
+    # checked as given: no uint8 cast wraps a value or truncates a fraction
+    for raw in ([256, 257, 0], [512, 1, 0], [-255, 0, 1], [0.7, 1.9, 1.0]):
+        with pytest.raises(ConfigError, match="0 or 1"):
+            Bitmap(3, 1, np.array(raw))
+    for raw in ([True, False, True], [1.0, 0.0, 1.0], np.array([1, 0, 1], np.int64)):
+        image = Bitmap(3, 1, np.array(raw))
+        assert image.bits.dtype == np.uint8 and image.bits.tolist() == [1, 0, 1]
     with pytest.raises(ConfigError, match="positive"):
         Bitmap(0, 1, np.zeros(0, dtype=np.uint8))
     assert Bitmap(1, 2, [0, 1]) == Bitmap(1, 2, [0, 1])
     assert Bitmap(1, 2, [0, 1]) != Bitmap(2, 1, [0, 1])
+
+
+def test_bitmaps_are_read_only_values(bench, tmp_path):
+    """A bitmap keeps a copy of its caller's pixels that refuses writes, as
+    does a decoded image, and rebinds no field: a write to the caller's
+    array after construction changes neither the file nor the transport."""
+    arr = np.zeros(6, dtype=np.uint8)
+    bm = Bitmap(3, 2, arr)
+    arr[0] = 7  # still the caller's to write
+    assert bm.bits.tolist() == [0] * 6
+    write_pbm(tmp_path / "bm.pbm", bm)
+    assert read_pbm(tmp_path / "bm.pbm") == bm
+    res = transmit_image(bench, bm, seed=3)
+    assert res.pixel_error_rate == 0.0 and res.image == bm
+    for image in (bm, res.image):
+        with pytest.raises(ValueError, match="read-only"):
+            image.bits[1] = 5
+        for name, value in [("width", 6), ("height", 1), ("bits", arr)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(image, name, value)
+    assert bm.bits.tolist() == res.image.bits.tolist() == [0] * 6
 
 
 # -- image transport ---------------------------------------------------------

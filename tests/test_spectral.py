@@ -15,9 +15,9 @@ from cfcomm import circuit, spectral
 from cfcomm.circuit import build_circuit, propagate, sideband_strengths, weak_trace
 from cfcomm.config import reference_device
 from cfcomm.errors import ConfigError, TopologyError
-from cfcomm.spectral import (MAX_SCAN_POINTS, CascadeReport, Etalon, PeakTable,
-                             Spectrum, detector_components, extract_peaks,
-                             scan_spectrum, source_filter_cascade)
+from cfcomm.spectral import (MAX_SCAN_POINTS, CascadeReport, Etalon, PeakEntry,
+                             PeakTable, Spectrum, detector_components,
+                             extract_peaks, scan_spectrum, source_filter_cascade)
 
 import oracles
 
@@ -526,10 +526,33 @@ def test_extract_peaks_calibration_gate(bench):
     s = noise_off(bench, "bit0", "det0")
     with pytest.raises(ConfigError, match="lacks labels"):
         extract_peaks(s, bench.eoms, calibration=PeakTable(carrier_height=1.0))
-    bad = PeakTable(carrier_height=0.0)
-    bad.labels = {e.label: None for e in bench.eoms}
+    bad = PeakTable({e.label: None for e in bench.eoms}, carrier_height=0.0)
     with pytest.raises(ConfigError, match="carrier"):
         extract_peaks(s, bench.eoms, calibration=bad)
+
+
+def test_peak_tables_are_read_only_values(bench):
+    """A table keeps a read-only copy of its labels and rebinds no field, so
+    its JSON after every attempt equals a fresh table's; a copy made for a
+    tuning is read-only too."""
+    entries = {"B": PeakEntry(True, 1.0, None)}
+    own = PeakTable(entries)
+    entries["C"] = PeakEntry(False, 0.0, None)  # still the caller's to write
+    assert list(own.labels) == ["B"]
+    table = extract_peaks(noise_off(bench, "bit1", "det1"), bench.eoms)
+    tuned = dataclasses.replace(table, tuning="bit1")
+    for t in (own, table, tuned):
+        with pytest.raises(TypeError):
+            t.labels["A"] = PeakEntry(True, 1.0, None)
+        with pytest.raises(TypeError):
+            del t.labels["B"]
+        for name, value in [("labels", {}), ("carrier_height", 0.0),
+                            ("detector", "det0"), ("tuning", "bit0")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, value)
+    fresh = extract_peaks(noise_off(bench, "bit1", "det1"), bench.eoms)
+    assert table.to_jsonable() == fresh.to_jsonable()
+    assert tuned.to_jsonable() == {**fresh.to_jsonable(), "tuning": "bit1"}
 
 
 def test_peak_table_jsonable_shape(bench):

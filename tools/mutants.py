@@ -46,6 +46,9 @@ CRITERION_9 = "tests/test_acceptance.py::test_criterion_9_folding_equivalence"
 LISTING_TESTS = "tests/test_folded.py::test_expansion_matches_direct_build_exactly"
 CASCADE_SEARCH_TESTS = "tests/test_spectral.py::test_source_cascade_equals_the_full_grid_search"
 RANDOM_TESTS = "tests/test_random_circuits.py::"
+PEAK_TABLE_TESTS = "tests/test_spectral.py::test_peak_tables_are_read_only_values"
+BITMAP_TESTS = "tests/test_protocol.py::test_bitmaps_are_read_only_values"
+FROZEN_TESTS = "tests/test_values.py::test_every_dataclass_is_frozen"
 
 #: (name, file, snippet, replacement, node ids that must fail)
 MUTANTS = (
@@ -111,9 +114,9 @@ MUTANTS = (
      "    cuts.reverse()\n    return cuts",
      ("tests/test_circuit.py::test_backward_cuts_hands_out_one_read_only_walk",)),
     ("two-state-vector-copies-forward", CIRCUIT,
-     "return TwoStateVector(fwd, bwd, ps, detector)",
+     "return TwoStateVector(fwd, bwd, ps)",
      "return TwoStateVector(tuple(PhotonState(dict(s.amps)) for s in fwd),\n"
-     "                          bwd, ps, detector)",
+     "                          bwd, ps)",
      ("tests/test_circuit.py::test_two_state_vector_hands_out_the_shared_walks",)),
     # faults no nested bench shows, having one source and a vacuum on the
     # second in-port of every splitter: the random circuits catch them
@@ -378,6 +381,30 @@ MUTANTS = (
      "return MappingProxyType({name:",
      "return dict({name:",
      ("tests/test_protocol.py::test_sector_table_is_read_only",)),
+    ("peak-table-rebindable", SPECTRAL,
+     "@dataclass(frozen=True)\nclass PeakTable:",
+     "@dataclass\nclass PeakTable:",
+     (PEAK_TABLE_TESTS, FROZEN_TESTS)),
+    ("peak-labels-writable", SPECTRAL,
+     'object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))',
+     'object.__setattr__(self, "labels", dict(self.labels))',
+     (PEAK_TABLE_TESTS,)),
+    ("bitmap-rebindable", PROTOCOL,
+     "@dataclass(frozen=True, eq=False)\nclass Bitmap:",
+     "@dataclass(eq=False)\nclass Bitmap:",
+     (BITMAP_TESTS, FROZEN_TESTS)),
+    ("bitmap-shares-caller-array", PROTOCOL,
+     "bits = raw.astype(np.uint8)  # always a copy",
+     "bits = raw.astype(np.uint8, copy=False)",
+     (BITMAP_TESTS,)),
+    ("bitmap-bits-writable", PROTOCOL,
+     "        bits.flags.writeable = False\n",
+     "",
+     (BITMAP_TESTS,)),
+    ("bitmap-checked-after-cast", PROTOCOL,
+     "if not np.isin(raw, (0, 1)).all():",
+     "if not np.isin(raw.astype(np.uint8), (0, 1)).all():",
+     ("tests/test_protocol.py::test_bitmap_validation",)),
 )
 
 
