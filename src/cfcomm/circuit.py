@@ -11,9 +11,11 @@ Everything downstream works on the explicit :class:`Circuit` — an ordered
 tuple of elements — that :func:`expand_folded` unrolls from it, writing the
 inner-loop body once and running it for both passes.
 
-Each circuit is built once per config, preset and modulator choice, walked
-forward once, to first order, and backward once per detector:
-:func:`build_circuit` hands every caller the same frozen circuit, and
+Each preset is unrolled once per config; its modulator-free circuit is that
+unrolling stripped of the modulators.  Each circuit is walked forward once,
+to first order, and, since a modulator is the identity backward, the two
+circuits of a preset share one backward walk per detector:
+:func:`build_circuit` hands every caller the same frozen circuits, and
 :func:`propagate_cuts` and :func:`backward_cuts` the same tuples of
 read-only states, which equal circuits share too.  :func:`propagate`,
 :func:`two_state_vector`, :func:`weak_trace` and the second-order detection
@@ -23,8 +25,9 @@ probabilities, which follow from the walks in closed form, read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 
 from .config import EOM_SITES, DeviceConfig, EomSpec, hash_once
 from .errors import ConfigError, TopologyError, UndefinedPostselectionError
@@ -72,12 +75,12 @@ PRESETS = ("bit0", "bit1", "calibration")
 #: a postselection on less carrier probability than this is ill-defined
 POSTSELECTION_FLOOR = 1e-14
 
-#: entries per result cache: tunings and sector tables take at most three
-#: per bench, built circuits and forward walks six in a full commission
-#: (three presets, with and without modulators) and backward walks nine (a
-#: bright detector of each circuit, and the other detector of each
-#: modulator circuit), so a stream of fresh configs keeps the last few
-#: benches and a bounded memory
+#: entries per result cache: tunings, sector tables and unrollings take at
+#: most three per bench; in a full commission, strip lookups and forward
+#: walks take six (three presets, with and without modulators) and backward
+#: walks twelve (both detectors of each circuit; the modulator circuits' six
+#: repeat the states of the strips'), so a stream of fresh configs keeps the
+#: last few benches and a bounded memory
 RESULT_CACHE_SIZE = 64
 
 
@@ -204,7 +207,9 @@ def backward_cuts(circuit: Circuit, detector: str) -> tuple[PhotonState, ...]:
     by every caller: the state at every cut, aligned with the forward cuts.
 
     Starts as a unit carrier amplitude on the clicked detector's arm and
-    runs every element's adjoint in reverse.  A closed shutter is a
+    runs every element's adjoint in reverse.  A modulator's adjoint returns
+    its input, so a circuit with modulators reads the walk of its strip
+    and repeats each cut across a modulator.  A closed shutter is a
     zero-transmission attenuator, so its adjoint darkens the backward state
     on the shutter arm exactly as the forward step darkens the forward one:
     both vectors vanish behind closed shutters.  An unknown detector is
@@ -212,6 +217,13 @@ def backward_cuts(circuit: Circuit, detector: str) -> tuple[PhotonState, ...]:
     """
     if detector not in circuit.detectors:
         raise TopologyError(f"unknown detector {detector!r}")
+    plain = _stripped(circuit)
+    if plain is not circuit:
+        # cut k is the strip's cut after the elements it keeps of the first k
+        shared = backward_cuts(plain, detector)
+        kept = accumulate((not isinstance(e, Eom) for e in circuit.elements),
+                          initial=0)
+        return tuple(shared[k] for k in kept)
     cuts = [PhotonState.from_sources(((detector, 1.0),))]
     for e in reversed(circuit.elements):
         cuts.append(apply_adjoint(cuts[-1], e))
@@ -359,16 +371,24 @@ def build_circuit(cfg: DeviceConfig, preset: str, *,
                   include_eoms: bool = True) -> Circuit:
     """The unrolled bench for one preset: 'bit0', 'bit1' or 'calibration'.
 
-    Built once per config, preset and modulator choice; the frozen circuit
-    is shared by every caller.
+    Unrolled once per config and preset; without modulators it is that
+    circuit's strip.  Every caller shares the frozen circuits.
     """
-    return _built(cfg, preset, include_eoms)
+    c = _built(cfg, preset)
+    return c if include_eoms else _stripped(c)
 
 
 @lru_cache(maxsize=RESULT_CACHE_SIZE)
-def _built(cfg: DeviceConfig, preset: str, include_eoms: bool) -> Circuit:
-    return expand_folded(FoldedDevice.from_config(cfg, preset),
-                         include_eoms=include_eoms)
+def _built(cfg: DeviceConfig, preset: str) -> Circuit:
+    return expand_folded(FoldedDevice.from_config(cfg, preset))
+
+
+@lru_cache(maxsize=RESULT_CACHE_SIZE)
+def _stripped(c: Circuit) -> Circuit:
+    """The circuit without its modulators, or ``c`` itself if it has none;
+    a modulator acts in place, so the strip of a valid circuit is valid."""
+    elements = tuple(e for e in c.elements if not isinstance(e, Eom))
+    return c if len(elements) == len(c.elements) else replace(c, elements=elements)
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +441,7 @@ class FoldedDevice:
         )
 
 
-def expand_folded(dev: FoldedDevice, *, include_eoms: bool = True) -> Circuit:
+def expand_folded(dev: FoldedDevice) -> Circuit:
     """Unroll the folded bench into the explicit two-pass circuit.
 
     The inner-loop body is written once and run for each pass, which stamps
@@ -436,30 +456,30 @@ def expand_folded(dev: FoldedDevice, *, include_eoms: bool = True) -> Circuit:
     the loop the way it came, so pass 2 meets the far splitter first and
     merges at the near one, whose other output is det1.
     """
-    eoms = {e.site: e for e in dev.eoms} if include_eoms else {}
+    eoms = {e.site: e for e in dev.eoms}
 
-    def eom(site: str, arm: str, instance: int) -> list[Element]:
-        s = eoms.get(site)
-        return [Eom(arm, s.label, s.freq_ghz, s.alpha, instance)] if s else []
+    def eom(site: str, arm: str, instance: int) -> Eom:
+        s = eoms[site]
+        return Eom(arm, s.label, s.freq_ghz, s.alpha, instance)
 
     def inner_pass(n: int, into: str, split_r2: float, vacuum: str, shut: str,
                    open_: str, loss: str, merge_r2: float, merged: str,
                    dumped: str) -> list[Element]:
         return [Beamsplitter(split_r2, into, vacuum, shut, open_, f"inner_split_{n}"),
                 *([Block(shut, loss)] if dev.shutter_closed else []),
-                *eom("shutter_arm", shut, n),
+                eom("shutter_arm", shut, n),
                 PhaseShift(open_, dev.inner_phase, f"inner_phase_{n}"),
-                *eom("open_arm", open_, n),
+                eom("open_arm", open_, n),
                 Beamsplitter(merge_r2, shut, open_, merged, dumped, f"inner_merge_{n}")]
 
     els = (Beamsplitter(dev.outer_r2, SOURCE, VAC_ENTRY, ENTRY, REFERENCE, "outer_tap"),
            Attenuator(REFERENCE, dev.attenuator_t, LOSS_ATT),
            PhaseShift(REFERENCE, dev.reference_phase, "reference_phase"),
-           *eom("reference", REFERENCE, 1),
-           *eom("entry", ENTRY, 1),
+           eom("reference", REFERENCE, 1),
+           eom("entry", ENTRY, 1),
            *inner_pass(1, ENTRY, dev.inner_near_r2, VAC_INNER_1, SHUTTER_1, OPEN_1,
                        LOSS_SHUTTER_1, dev.inner_far_r2, LINK_1, DUMP_INNER),
-           *eom("link", LINK_1, 1), Mirror(LINK_1, LINK_2), *eom("link", LINK_2, 2),
+           eom("link", LINK_1, 1), Mirror(LINK_1, LINK_2), eom("link", LINK_2, 2),
            *inner_pass(2, LINK_2, dev.inner_far_r2, VAC_INNER_2, SHUTTER_2, OPEN_2,
                        LOSS_SHUTTER_2, dev.inner_near_r2, EXIT, DET1),
            Beamsplitter(dev.outer_r2, EXIT, REFERENCE, DET0, DUMP_EXIT, "outer_merge"))

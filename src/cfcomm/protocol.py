@@ -28,6 +28,7 @@ which inverts the drift model in closed form, need numpy alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -331,13 +332,23 @@ def send_bit(cfg: DeviceConfig, bit: int, index: int = 0, *,
 @dataclass(frozen=True, eq=False)
 class Bitmap:
     """Read-only binary image, flat row-major uint8 (0 = white, 1 = black as
-    in PBM): a copy of the caller's pixels, checked before any cast."""
+    in PBM): a copy of the caller's pixels, checked before any cast.  Its
+    dimensions are integers (numpy's too, kept as ``int``), never bools."""
 
     width: int
     height: int
     bits: np.ndarray
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(
+                    f"bitmap {name} must be an integer, got {value!r}") from None
         raw = np.asarray(self.bits).reshape(-1)
         if self.width < 1 or self.height < 1:
             raise ConfigError("bitmap dimensions must be positive")

@@ -62,6 +62,17 @@ def oracle_listing(cfg, preset: str, include_eoms: bool = True) -> list:
                                  tun.reference_phase, shutter=(preset == "bit1"))
 
 
+def stripped(c):
+    """A circuit without its modulators, built here rather than by the
+    package: the modulator-free twin of a circuit that has them."""
+    import dataclasses
+
+    from cfcomm.optics import Eom
+
+    return dataclasses.replace(
+        c, elements=tuple(e for e in c.elements if not isinstance(e, Eom)))
+
+
 def as_listing(c) -> list:
     """A circuit's elements as the ``(name, ins, outs, m)`` tuples of
     ``oracles.bench_listing``."""

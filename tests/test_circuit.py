@@ -19,7 +19,7 @@ from cfcomm.optics import (Attenuator, Beamsplitter, Block, Eom, Mirror, PhaseSh
                            PhotonState, apply_element)
 
 import oracles
-from conftest import order_two_matches_the_walk
+from conftest import order_two_matches_the_walk, stripped
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,8 @@ def test_terminal_state_is_the_last_forward_cut(bench, preset, include_eoms):
 def test_spellings_of_one_propagation_share_a_cache_entry(bench):
     """The terminal state, the cuts, both orders of the detection
     probabilities, the two-state vector and the weak trace read one forward
-    walk, and they and the backward cuts one backward walk per detector."""
+    walk, and they and the backward cuts one backward walk per detector: the
+    circuit's entry repeats the states of its strip's, which holds the walk."""
     c = build_circuit(bench, "calibration")
     circuit.propagate_cuts.cache_clear()
     circuit.backward_cuts.cache_clear()
@@ -153,7 +154,7 @@ def test_spellings_of_one_propagation_share_a_cache_entry(bench):
     info = circuit.propagate_cuts.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 6, 1)
     info = circuit.backward_cuts.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
+    assert (info.misses, info.hits, info.currsize) == (4, 6, 4)
 
 
 @pytest.mark.parametrize("reader", ["backward_cuts", "two_state_vector",
@@ -171,21 +172,23 @@ def test_unknown_detector_is_refused_before_any_walk(bench, reader):
 def test_backward_cuts_hands_out_one_read_only_walk(bench):
     """Every call, and the two-state vector, returns the one cached tuple;
     no cut of it can be changed, and the backward cuts, two-state vector,
-    weak trace and order-2 probabilities stay as they were."""
-    c = build_circuit(bench, "bit1")
-    first = circuit.backward_cuts(c, "det1")
-    want = [items(s) for s in first]
-    tsv = circuit.two_state_vector(c, "det1")
-    trace = circuit.weak_trace(c, "det1")
-    p2 = detection_probs(c, max_order=2)
-    assert isinstance(first, tuple)
-    for s in first:
-        try_to_change(s)
-    assert circuit.backward_cuts(c, "det1") is first and tsv.backward is first
-    assert [items(s) for s in circuit.backward_cuts(c, "det1")] == want
-    assert [items(s) for s in circuit.two_state_vector(c, "det1").backward] == want
-    assert circuit.weak_trace(c, "det1") == trace
-    assert detection_probs(c, max_order=2) == p2
+    weak trace and order-2 probabilities stay as they were.  So it is for
+    the circuit with modulators and for its strip, which holds the walk."""
+    for eoms in (True, False):
+        c = build_circuit(bench, "bit1", include_eoms=eoms)
+        first = circuit.backward_cuts(c, "det1")
+        want = [items(s) for s in first]
+        tsv = circuit.two_state_vector(c, "det1")
+        trace = circuit.weak_trace(c, "det1")
+        p2 = detection_probs(c, max_order=2)
+        assert isinstance(first, tuple)
+        for s in first:
+            try_to_change(s)
+        assert circuit.backward_cuts(c, "det1") is first and tsv.backward is first
+        assert [items(s) for s in circuit.backward_cuts(c, "det1")] == want
+        assert [items(s) for s in circuit.two_state_vector(c, "det1").backward] == want
+        assert circuit.weak_trace(c, "det1") == trace
+        assert detection_probs(c, max_order=2) == p2
 
 
 def test_two_state_vector_hands_out_the_shared_walks(bench):
@@ -278,7 +281,7 @@ def unrolled(cfg, preset, **knobs):
     """The modulator-free bench of a preset, with some knobs of its folded
     device reset."""
     dev = dataclasses.replace(FoldedDevice.from_config(cfg, preset), **knobs)
-    return expand_folded(dev, include_eoms=False)
+    return stripped(expand_folded(dev))
 
 
 def carrier_before_consumed(c, arm):

@@ -10,13 +10,14 @@ from hypothesis import assume, given, settings
 
 from cfcomm import circuit
 from cfcomm.circuit import (FoldedDevice, PRESETS, build_circuit,
-                            detection_probs, expand_folded, propagate)
+                            detection_probs, expand_folded, propagate,
+                            validate_circuit)
 from cfcomm.config import load_config, reference_device
 from cfcomm.errors import TopologyError
-from cfcomm.optics import Eom, PhotonState, apply_element
+from cfcomm.optics import Eom, PhotonState, apply_adjoint, apply_element
 
 import oracles
-from conftest import as_listing, listing_walk_gap, oracle_listing
+from conftest import as_listing, listing_walk_gap, oracle_listing, stripped
 
 #: the packaged 50/50 bench, and one whose splitters all differ: only there
 #: does a pass that meets its splitters in swapped order show
@@ -52,8 +53,8 @@ def test_expansion_probabilities_agree(preset, include_eoms):
     """The unrolled bench's detection probabilities against the oracle walk
     of the listing."""
     for cfg in BENCHES:
-        c = expand_folded(FoldedDevice.from_config(cfg, preset),
-                          include_eoms=include_eoms)
+        c = expand_folded(FoldedDevice.from_config(cfg, preset))
+        c = c if include_eoms else stripped(c)
         assert listing_walk_gap(c, oracle_listing(cfg, preset, include_eoms)) <= 1e-12
 
 
@@ -123,7 +124,7 @@ def test_from_config_sets_shutter_by_preset(bench):
 
 def test_folded_phase_is_shared_between_passes(bench):
     dev = FoldedDevice.from_config(bench, "calibration")
-    c = expand_folded(dev, include_eoms=False)
+    c = stripped(expand_folded(dev))
     phases = [e for e in c.elements if getattr(e, "name", "").startswith("inner_phase")]
     assert len(phases) == 2
     assert phases[0].m == phases[1].m == ((cmath.exp(1j * dev.inner_phase),),)
@@ -152,3 +153,54 @@ def test_folded_device_requires_every_site(bench):
         dataclasses.replace(dev.eoms[4], site=dev.eoms[3].site, label="Z"),)
     with pytest.raises(TopologyError, match="site"):
         dataclasses.replace(dev, eoms=doubled)
+
+
+# -- one unrolling per preset; its strip is the modulator-free circuit -------
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_modulator_free_circuit_is_the_strip_of_the_unrolling(preset):
+    """The strip is valid, holds no modulator, keeps the unrolling's other
+    elements in order, and is made once."""
+    for cfg in BENCHES:
+        c = build_circuit(cfg, preset)
+        strip = build_circuit(cfg, preset, include_eoms=False)
+        validate_circuit(strip)
+        assert not any(isinstance(e, Eom) for e in strip.elements)
+        assert strip == stripped(c) and strip != c
+        assert list(strip.elements) == [e for e in c.elements
+                                        if not isinstance(e, Eom)]
+        assert build_circuit(cfg, preset, include_eoms=False) is strip
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_both_circuits_of_a_preset_share_one_backward_walk(preset):
+    """Each cut of the modulator circuit's backward walk is the matching cut
+    of its strip's: the same state, repeated across each modulator."""
+    for cfg in BENCHES:
+        c = build_circuit(cfg, preset)
+        strip = build_circuit(cfg, preset, include_eoms=False)
+        for d in c.detectors:
+            bwd, plain = circuit.backward_cuts(c, d), circuit.backward_cuts(strip, d)
+            assert len(bwd) == len(c.elements) + 1
+            j = len(plain) - 1
+            assert bwd[-1] is plain[j]
+            for k in reversed(range(len(c.elements))):
+                j -= not isinstance(c.elements[k], Eom)
+                assert bwd[k] is plain[j]
+            assert j == 0
+
+
+def test_a_preset_walks_backward_once_per_detector(bench, monkeypatch):
+    """Only the strip's elements are stepped backward, once per detector,
+    whichever of the two circuits is asked first."""
+    steps = []
+    monkeypatch.setattr(circuit, "apply_adjoint",
+                        lambda s, e: steps.append(e) or apply_adjoint(s, e))
+    circuit.backward_cuts.cache_clear()
+    c = build_circuit(bench, "bit1")
+    strip = build_circuit(bench, "bit1", include_eoms=False)
+    circuit.backward_cuts(c, "det0")
+    circuit.backward_cuts(strip, "det0")
+    circuit.backward_cuts(strip, "det1")
+    circuit.backward_cuts(c, "det1")
+    assert steps == 2 * list(reversed(strip.elements))

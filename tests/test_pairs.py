@@ -78,3 +78,35 @@ def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
     assert pairs.compare(wide, [0.4] * 5, "lower", 0.2)["verdict"] == "gain"
     assert pairs.compare(wide, [2.6] * 5, "higher", 0.2)["verdict"] == "gain"
     assert pairs.compare(wide, [1.9] * 5, "lower", 0.2)["verdict"] == "worse"
+
+
+def record(correct=True, **over) -> dict:
+    run = {"correct": correct, "attempted": 300, "failed": 0,
+           "statistical_misses": 1, "digest": "b34c07f9", "metrics": {}}
+    return dict(run, **over)
+
+
+def test_a_run_record_is_read_from_the_last_two_lines():
+    lines = ["perfbench: starting",
+             'report: {"digest": "5e339554", "statistical_misses": 3}',
+             '{"correct": false, "attempted": 612, "failed": 0,'
+             ' "metrics": {"op_ms.p50": {"value": 6.0, "unit": "ms"}}}']
+    run = pairs.read_run(lines)
+    assert run == {"correct": False, "attempted": 612, "failed": 0,
+                   "statistical_misses": 3, "digest": "5e339554",
+                   "metrics": {"op_ms.p50": 6.0}}
+    assert pairs.describe(run) == ("correct=False failed=0 of 612"
+                                   " statistical_misses=3 digest=5e339554")
+    assert pairs.describe({"error": "exit 1: boom\nmore"}) == "exit 1: boom"
+
+
+def test_any_incorrect_run_traced_or_not_fails_the_comparison():
+    untraced = [dict(record(), pair=i, side=s) for i in range(2)
+                for s in ("parent", "change")]
+    traced = [dict(record(), side=s) for s in ("parent", "change")]
+    assert pairs.exit_status(untraced + traced) == 0
+    traced[1] = dict(record(correct=False, statistical_misses=3), side="change")
+    assert pairs.exit_status(untraced + traced) == 1
+    untraced[2] = dict(record(correct=False), pair=1, side="change")
+    assert pairs.exit_status(untraced) == 1
+    assert pairs.exit_status([record(), {"error": "exit 1: boom"}]) == 1

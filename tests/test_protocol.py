@@ -460,6 +460,22 @@ def test_bitmap_validation():
     assert Bitmap(1, 2, [0, 1]) != Bitmap(2, 1, [0, 1])
 
 
+@pytest.mark.parametrize("width,height", [
+    (1.5, 2), (3, 1.0), (True, 3), (3, False), ("3", 1), (np.float64(3), 1),
+    (np.True_, 3), (None, 3)])
+def test_bitmap_dimensions_must_be_integers(width, height):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        Bitmap(width, height, np.zeros(3, dtype=np.uint8))
+
+
+def test_bitmap_takes_numpy_integer_dimensions_as_ints(tmp_path):
+    bm = Bitmap(np.int64(3), np.uint8(1), np.array([1, 0, 1]))
+    assert (bm.width, bm.height) == (3, 1)
+    assert type(bm.width) is int and type(bm.height) is int
+    write_pbm(tmp_path / "bm.pbm", bm)
+    assert read_pbm(tmp_path / "bm.pbm") == bm
+
+
 def test_bitmaps_are_read_only_values(bench, tmp_path):
     """A bitmap keeps a copy of its caller's pixels that refuses writes, as
     does a decoded image, and rebinds no field: a write to the caller's

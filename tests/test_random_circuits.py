@@ -12,7 +12,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from cfcomm.circuit import (Circuit, backward_cuts, detection_probs, overlap,
@@ -21,6 +21,7 @@ from cfcomm.optics import (CARRIER, Attenuator, Beamsplitter, Block, Eom, Linear
                            Mirror, PhaseShift, apply_adjoint, apply_element)
 
 import oracles
+from conftest import stripped
 
 #: modulator labels and their frequencies in GHz
 LABELS = {"A": 2.1, "B": 1.0, "C": 1.6}
@@ -97,8 +98,9 @@ def test_every_step_of_a_drawn_circuit_is_the_plain_loop(c):
     validate_circuit(c)
     fwd = propagate_cuts(c)
     assert len(fwd) == len(c.elements) + 1
+    # each source is added to 0j, so a -0.0 part of its amplitude is +0.0
     assert items(fwd[0].amps) == items(
-        {(arm, CARRIER): complex(a) for arm, a in c.sources})
+        {(arm, CARRIER): 0j + complex(a) for arm, a in c.sources})
     for k, e in enumerate(c.elements):
         want = forward_step_oracle(fwd[k].amps, e)
         if isinstance(e, Linear):
@@ -116,6 +118,28 @@ def test_every_step_of_a_drawn_circuit_is_the_plain_loop(c):
             else:
                 assert bwd[k] is bwd[k + 1]
             assert apply_adjoint(bwd[k + 1], e).amps == bwd[k].amps
+
+
+@given(c=circuits())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_drawn_backward_walk_is_the_plain_loop_and_its_strips(c):
+    """With modulators, each backward walk equals the plain adjoint loop of
+    ``oracles``, item for item at every cut, and is made of the states of
+    its strip's walk, which is valid."""
+    assume(any(isinstance(e, Eom) for e in c.elements))
+    strip = stripped(c)
+    validate_circuit(strip)
+    for d in c.detectors:
+        amps = {(d, CARRIER): 1.0 + 0j}
+        want = [items(amps)]
+        for e in reversed(c.elements):
+            if isinstance(e, Linear):
+                amps = oracles.transfer(amps, e.ins, e.outs, e.m, adjoint=True)
+            want.append(items(amps))
+        bwd = backward_cuts(c, d)
+        assert [items(s.amps) for s in bwd] == want[::-1]
+        shared = {id(s) for s in backward_cuts(strip, d)}
+        assert all(id(s) in shared for s in bwd)
 
 
 @given(c=circuits())

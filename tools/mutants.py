@@ -49,6 +49,9 @@ RANDOM_TESTS = "tests/test_random_circuits.py::"
 PEAK_TABLE_TESTS = "tests/test_spectral.py::test_peak_tables_are_read_only_values"
 BITMAP_TESTS = "tests/test_protocol.py::test_bitmaps_are_read_only_values"
 FROZEN_TESTS = "tests/test_values.py::test_every_dataclass_is_frozen"
+STRIP_TESTS = "tests/test_folded.py::test_modulator_free_circuit_is_the_strip_of_the_unrolling"
+SHARED_WALK_TESTS = "tests/test_folded.py::test_both_circuits_of_a_preset_share_one_backward_walk"
+BITMAP_DIMENSION_TESTS = "tests/test_protocol.py::test_bitmap_dimensions_must_be_integers"
 
 #: (name, file, snippet, replacement, node ids that must fail)
 MUTANTS = (
@@ -279,8 +282,8 @@ MUTANTS = (
       "tests/test_folded.py::test_expansion_probabilities_agree[True-bit1]",
       "tests/test_folded.py::test_drawn_benches_match_the_listing")),
     ("pass-2-link-modulator-instance-1", CIRCUIT,
-     '*eom("link", LINK_2, 2)',
-     '*eom("link", LINK_2, 1)',
+     'eom("link", LINK_2, 2)',
+     'eom("link", LINK_2, 1)',
      (CRITERION_9, LISTING_TESTS + "[bit0]", LISTING_TESTS + "[bit1]",
       "tests/test_folded.py::test_drawn_benches_match_the_listing")),
     ("shutter-on-pass-1-only", CIRCUIT,
@@ -289,6 +292,31 @@ MUTANTS = (
      (CRITERION_9, LISTING_TESTS + "[bit1]",
       "tests/test_folded.py::test_expansion_probabilities_agree[False-bit1]",
       "tests/test_folded.py::test_drawn_benches_match_the_listing")),
+    # one unrolling per preset: the modulator-free circuit is its strip, and
+    # the two share one backward walk per detector
+    ("backward-repeat-one-element-early", CIRCUIT,
+     "(not isinstance(e, Eom) for e in circuit.elements)",
+     "(not isinstance(e, Eom) for e in circuit.elements[1:] + circuit.elements[:1])",
+     (SHARED_WALK_TESTS + "[bit0]", SHARED_WALK_TESTS + "[bit1]",
+      RANDOM_TESTS + "test_drawn_backward_walk_is_the_plain_loop_and_its_strips",
+      ORDER2_TESTS + "[asymmetric-bit0]")),
+    ("backward-walks-the-modulator-circuit", CIRCUIT,
+     "    if plain is not circuit:\n",
+     "    if False:\n",
+     (SHARED_WALK_TESTS + "[calibration]",
+      "tests/test_folded.py::test_a_preset_walks_backward_once_per_detector",
+      RANDOM_TESTS + "test_drawn_backward_walk_is_the_plain_loop_and_its_strips")),
+    ("strip-keeps-second-pass-modulators", CIRCUIT,
+     "tuple(e for e in c.elements if not isinstance(e, Eom))",
+     "tuple(e for e in c.elements if not isinstance(e, Eom) or e.instance == 2)",
+     (STRIP_TESTS + "[bit0]", STRIP_TESTS + "[bit1]",
+      "tests/test_folded.py::test_drawn_benches_match_the_listing",
+      RANDOM_TESTS + "test_drawn_backward_walk_is_the_plain_loop_and_its_strips")),
+    ("strip-made-per-call", CIRCUIT,
+     "@lru_cache(maxsize=RESULT_CACHE_SIZE)\ndef _stripped(",
+     "def _stripped(",
+     (STRIP_TESTS + "[calibration]",
+      "tests/test_circuit.py::test_build_circuit_returns_one_shared_circuit")),
     ("unknown-keys-accepted", CONFIG,
      "    if unknown:\n",
      "    if False:\n",
@@ -401,6 +429,10 @@ MUTANTS = (
      "        bits.flags.writeable = False\n",
      "",
      (BITMAP_TESTS,)),
+    ("bitmap-takes-bool-dimensions", PROTOCOL,
+     "                if isinstance(value, bool):\n",
+     "                if False:\n",
+     (BITMAP_DIMENSION_TESTS + "[True-3]", BITMAP_DIMENSION_TESTS + "[3-False]")),
     ("bitmap-checked-after-cast", PROTOCOL,
      "if not np.isin(raw, (0, 1)).all():",
      "if not np.isin(raw.astype(np.uint8), (0, 1)).all():",

@@ -23,10 +23,14 @@ a verdict:
   better by more than the spread between the parent's quartiles;
 * ``same``: neither.
 
-It then prints every run's ``correct``, ``failed`` and output digest, and
-writes all of it as JSON to ``--out``.  The exit status is 0 when every
-run finished; a run that failed is reported, and the others still count.
-Only the stdlib is needed here.
+After the pairs it runs each side once more with ``--trace 1``, since a
+traced run can read ``correct: false`` where the untraced ones do not.  It
+then prints every run's ``correct``, ``attempted``, ``failed``, statistical
+misses and output digest, the traced runs last, and writes all of it as
+JSON to ``--out``.  A run that stopped with an error is reported, and the
+others still count.  The exit status is 1 when any run of either side,
+traced or untraced, stopped with an error or reads ``correct: false``, and
+0 otherwise.  Only the stdlib is needed here.
 """
 
 from __future__ import annotations
@@ -109,21 +113,46 @@ def clone(commit: str, where: str) -> str:
     return where
 
 
-def bench_run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in a checkout: its result and digest, or
-    the error that stopped it."""
+def bench_run(checkout: str, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
+    """One perfbench run in a checkout, untraced unless ``trace`` is 1: its
+    record, or the error that stopped it."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         return {"error": f"exit {proc.returncode}: {proc.stderr[-2000:]}"}
+    return read_run(lines)
+
+
+def read_run(lines: list[str]) -> dict:
+    """A run's record from the last two lines perfbench prints: the report,
+    then the result."""
     report = json.loads(lines[-2].removeprefix("report: "))
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"], "digest": report.get("digest"),
+            "failed": result["failed"],
+            "statistical_misses": report.get("statistical_misses"),
+            "digest": report.get("digest"),
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def describe(run: dict) -> str:
+    """One line for a run: its outcome, or the first line of its error."""
+    if "error" in run:
+        return run["error"].splitlines()[0]
+    return (f"correct={run['correct']} failed={run['failed']}"
+            f" of {run['attempted']}"
+            f" statistical_misses={run['statistical_misses']}"
+            f" digest={run['digest']}")
+
+
+def exit_status(runs: list[dict]) -> int:
+    """1 when any run, traced or not, stopped with an error or reads
+    ``correct: false``; else 0."""
+    return int(any("error" in run or not run["correct"] for run in runs))
 
 
 def summarize(runs: list[dict], pairs: int, end_to_end: list[dict]) -> dict:
@@ -143,7 +172,8 @@ def summarize(runs: list[dict], pairs: int, end_to_end: list[dict]) -> dict:
     return {"pairs": pairs, "complete_pairs": len(whole), "metrics": table}
 
 
-def print_table(commits: dict, summary: dict, runs: list[dict]) -> None:
+def print_table(commits: dict, summary: dict, runs: list[dict],
+                traced: list[dict]) -> None:
     print(f"parent {commits['parent']}  change {commits['change']}  "
           f"{summary['complete_pairs']} of {summary['pairs']} pairs complete")
     print(f"{'metric':12} {'parent q1/med/q3':>26} {'change q1/med/q3':>26}"
@@ -156,10 +186,9 @@ def print_table(commits: dict, summary: dict, runs: list[dict]) -> None:
               f" {s['sign_p']:8.3g} {s['worse_by']:+9.2%} {s['bound']:6.0%}"
               f"  {s['verdict']}")
     for run in runs:
-        state = (run["error"].splitlines()[0] if "error" in run else
-                 f"correct={run['correct']} failed={run['failed']}"
-                 f" of {run['attempted']} digest={run['digest']}")
-        print(f"  pair {run['pair']:2} {run['side']:6} {state}")
+        print(f"  pair {run['pair']:2} {run['side']:6} {describe(run)}")
+    for run in traced:
+        print(f"  traced  {run['side']:6} {describe(run)}")
 
 
 def main(argv=None) -> int:
@@ -191,17 +220,24 @@ def main(argv=None) -> int:
             print(f"pair {i} {side}: " + ("error" if "error" in run else
                                           f"correct={run['correct']}"),
                   file=sys.stderr, flush=True)
+        traced = []
+        for side in ("parent", "change"):
+            run = bench_run(trees[side], args.workload, args.seed, args.seconds,
+                            trace=1)
+            traced.append(dict(run, side=side))
+            print(f"traced {side}: {describe(run)}", file=sys.stderr, flush=True)
     summary = summarize(runs, args.pairs, end_to_end)
-    print_table(commits, summary, runs)
+    print_table(commits, summary, runs, traced)
     out = args.out or os.path.join(ROOT, ".perfbench_runs",
                                    f"pairs-{args.workload}-seed{args.seed}.json")
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     with open(out, "w") as fh:
         json.dump({"commits": commits, "workload": args.workload,
                    "seed": args.seed, "seconds": args.seconds,
-                   "summary": summary, "runs": runs}, fh, indent=1)
+                   "summary": summary, "runs": runs, "traced": traced},
+                  fh, indent=1)
     print(f"written to {out}")
-    return 1 if any("error" in run for run in runs) else 0
+    return exit_status(runs + traced)
 
 
 if __name__ == "__main__":
