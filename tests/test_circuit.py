@@ -55,7 +55,8 @@ def test_result_caches_stay_bounded_over_fresh_configs(bench):
     assert circuit.propagate_cuts.cache_info().misses >= circuit.RESULT_CACHE_SIZE + 5
     assert circuit.backward_cuts.cache_info().misses >= circuit.RESULT_CACHE_SIZE + 5
     for fn in (solve_tuning, calibration_tuning, sector_probs,
-               circuit._built, circuit.propagate_cuts, circuit.backward_cuts):
+               circuit._built, circuit._stripped, circuit.propagate_cuts,
+               circuit.backward_cuts):
         assert fn.cache_info().currsize <= circuit.RESULT_CACHE_SIZE
 
 
