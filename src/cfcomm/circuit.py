@@ -31,9 +31,9 @@ from itertools import accumulate
 
 from .config import EOM_SITES, DeviceConfig, EomSpec, hash_once
 from .errors import ConfigError, TopologyError, UndefinedPostselectionError
-from .optics import (CARRIER, Attenuator, Beamsplitter, Block, Element, Eom,
-                     Mirror, PhaseShift, PhotonState, apply_adjoint,
-                     apply_element)
+from .optics import (CARRIER, RESULT_CACHE_SIZE, Attenuator, Beamsplitter,
+                     Block, Element, Eom, Mirror, PhaseShift, PhotonState,
+                     apply_adjoint, apply_element)
 
 # arm names, in the order light meets them
 SOURCE = "source"
@@ -74,14 +74,6 @@ PRESETS = ("bit0", "bit1", "calibration")
 
 #: a postselection on less carrier probability than this is ill-defined
 POSTSELECTION_FLOOR = 1e-14
-
-#: entries per result cache: tunings, sector tables and unrollings take at
-#: most three per bench; in a full commission, strip lookups and forward
-#: walks take six (three presets, with and without modulators) and backward
-#: walks twelve (both detectors of each circuit; the modulator circuits' six
-#: repeat the states of the strips'), so a stream of fresh configs keeps the
-#: last few benches and a bounded memory
-RESULT_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,18 @@ from .errors import ConfigError
 #: validity limit of the first-order sideband treatment
 ALPHA_MAX = 0.5
 
+#: entries per result cache, one bound for the caches of circuit, protocol
+#: and spectral: tunings, sector tables and unrollings take at most three
+#: per bench; in a full commission, strip lookups and forward walks take
+#: six (three presets, with and without modulators), backward walks twelve
+#: (both detectors of each circuit; the modulator circuits' six repeat the
+#: states of the strips') and scan tables three (each preset at its bright
+#: detector; a noisy scan reads the table of the noise-free one).  So a
+#: stream of fresh configs keeps the last few benches and a bounded
+#: memory: a scan table holds 2.6 kB on the default 161-point grid and
+#: 1 MB on the largest, ``MAX_SCAN_POINTS``
+RESULT_CACHE_SIZE = 64
+
 #: a component's modulator kicks, in order: (label, sign, instance) triples
 SidebandTag = tuple[tuple[str, int, int], ...]
 

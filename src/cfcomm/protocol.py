@@ -35,11 +35,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuit import (DET0, DET1, REFERENCE, RESULT_CACHE_SIZE, SHUTTER_1,
-                      SHUTTER_2, _consuming_indices, build_circuit)
+from .circuit import (DET0, DET1, REFERENCE, SHUTTER_1, SHUTTER_2,
+                      _consuming_indices, build_circuit)
 from .config import DeviceConfig, ImperfectionModel
 from .errors import ConfigError, FitInfeasibleError
-from .optics import PhotonState, apply_element
+from .optics import RESULT_CACHE_SIZE, PhotonState, apply_element
 from .rand import bit_uniforms
 
 __all__ = [

@@ -4,12 +4,13 @@ Two stream families, both keyed on a single user seed:
 
 * :func:`substream` — a generator derived from ``SeedSequence(seed,
   spawn_key=path)``.  Robust and collision-free.  :func:`point_poisson`
-  draws the per-scan-point counting noise from exactly these streams,
-  ``substream(seed, label, j)`` for each requested point ``j``, without
-  building one: :func:`_point_keys` computes the points' Philox keys in
-  ``(4, n)`` array passes over the four pool words, and a single reused
-  Philox is re-keyed per point.  A subset of points draws what a full scan
-  draws at them.
+  draws the per-scan-point counting noise from exactly these streams
+  without building one: in one call, the counts of the requested points
+  ``j`` from ``substream(seed, 0, j)`` and their replicas from
+  ``substream(seed, 1, j)``.  :func:`_point_keys` computes the keys of both
+  streams in one ``(4, 2, n)`` array pass over the four pool words, and
+  the calling thread's one Philox is re-keyed and reset before each point.
+  A subset of points draws what a full scan draws at them, in any thread.
 * :func:`bit_uniforms` — counter-based Philox4x64-10 (Salmon et al.,
   "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Channel use ``i``
   owns the counters ``(b, 0, i, 0)``, ``b = 1, 2, ...``, under one key per
@@ -24,6 +25,7 @@ other seed raises :class:`~cfcomm.errors.ConfigError` (:func:`check_seed`).
 from __future__ import annotations
 
 import operator
+import threading
 
 import numpy as np
 
@@ -87,12 +89,12 @@ def _mix(x, y):
 
 def _hash_steps(init: int, mult: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     """Xor and multiplier constants of hash steps ``first`` to ``first + 3``
-    of the chain from ``init``, as ``(4, 1)`` ``uint32`` columns."""
+    of the chain from ``init``, as ``(4, 1, 1)`` ``uint32`` columns."""
     chain = [init]
     for _ in range(first + 4):
         chain.append(chain[-1] * mult & _MASK32)
-    return (np.array(chain[first:first + 4], dtype=np.uint32)[:, None],
-            np.array(chain[first + 1:], dtype=np.uint32)[:, None])
+    return (np.array(chain[first:first + 4], dtype=np.uint32)[:, None, None],
+            np.array(chain[first + 1:], dtype=np.uint32)[:, None, None])
 
 
 #: the point's four hash steps are steps 20-23 of the pool's chain (after
@@ -102,17 +104,19 @@ _POINT_XOR, _POINT_MULT = _hash_steps(_SS_INIT_A, _SS_MULT_A, 20)
 _FINAL_XOR, _FINAL_MULT = _hash_steps(_SS_INIT_B, _SS_MULT_B, 0)
 
 
-def _point_keys(seed: int, label: int, points) -> np.ndarray:
-    """Philox keys of ``substream(seed, label, j)`` for ``j`` in ``points``.
+def _point_keys(seed: int, labels, points) -> np.ndarray:
+    """Philox keys of ``substream(seed, label, j)`` for every label in
+    ``labels`` and ``j`` in ``points``.
 
-    Row ``k`` of the ``(len(points), 2)`` result is ``SeedSequence(seed,
-    spawn_key=(label, points[k])).generate_state(2, np.uint64)``.  Its
-    entropy words are the seed's 32-bit words zero-padded to the pool size
-    4, then ``label``, then the point.  Only the last mixing step sees the
-    point, so everything before it runs once in ints.  There the point meets
-    each pool word under a constant of its own, and each word then takes
-    its final hash: both are one ``(4, len(points))`` array pass, with the
-    constants computed once (:func:`_hash_steps`).  ``label`` and every
+    Item ``[i, k]`` of the ``(len(labels), len(points), 2)`` result is
+    ``SeedSequence(seed, spawn_key=(labels[i], points[k])).generate_state(2,
+    np.uint64)``.  Its entropy words are the seed's 32-bit words zero-padded
+    to the pool size 4, then the label, then the point.  The seed's pool
+    rounds run once in ints, and each label's mixing continues from them.
+    Only the last mixing step sees the point: there it meets each pool word
+    of each label under a constant of its own, and each word then takes its
+    final hash, both one ``(4, len(labels), len(points))`` array pass with
+    the constants computed once (:func:`_hash_steps`).  Every label and
     point must fit one entropy word, that is lie in ``[0, 2**32)``.
     """
     seed = check_seed(seed)
@@ -126,44 +130,65 @@ def _point_keys(seed: int, label: int, points) -> np.ndarray:
             if src != dst:
                 hashed, const = _hashmix(pool[src], const, _SS_MULT_A)
                 pool[dst] = _mix(pool[dst], hashed)
-    for dst in range(4):
-        hashed, const = _hashmix(label, const, _SS_MULT_A)
-        pool[dst] = _mix(pool[dst], hashed)
+    # the label's hash steps continue the chain from the same constant for
+    # every label
+    pools = []
+    for label in labels:
+        words, step = list(pool), const
+        for dst in range(4):
+            hashed, step = _hashmix(label, step, _SS_MULT_A)
+            words[dst] = _mix(words[dst], hashed)
+        pools.append(words)
     hashed = (np.asarray(points, dtype=np.uint32) ^ _POINT_XOR) * _POINT_MULT
-    state = _mix(np.array(pool, dtype=np.uint32)[:, None], hashed ^ hashed >> 16)
+    state = _mix(np.array(pools, dtype=np.uint32).T[:, :, None],
+                 hashed ^ hashed >> 16)
     state = (state ^ _FINAL_XOR) * _FINAL_MULT
     state = (state ^ state >> 16).astype(np.uint64)
     # little-endian pairs of 32-bit words make the two 64-bit key words
-    return (state[0::2] | state[1::2] << 32).T
+    return np.moveaxis(state[0::2] | state[1::2] << 32, 0, -1)
 
 
-def point_poisson(seed: int, label: int, points, lam,
-                  size: int | None = None) -> np.ndarray:
-    """``substream(seed, label, points[k]).poisson(lam[k], size)`` for every ``k``.
+#: each thread's one Philox and the Generator that draws from it, made on
+#: the thread's first noisy read; a read sets the whole state before a draw
+_local = threading.local()
 
-    One Philox and one Generator serve all points: before point ``j`` the
-    bit generator is reset to the state ``substream(seed, label, j)`` starts
-    from (its :func:`_point_keys` key, counter and buffer empty), so every
-    count equals the per-point substream's bit for bit, whatever the order
-    of ``points`` and however often a point repeats.  A full scan of ``n``
-    points passes ``np.arange(n)``.  ``points`` and ``lam`` are 1-D of one
-    length; the result has shape ``(len(lam),)`` or ``(len(lam), size)``.
+
+def point_poisson(seed: int, points, lam,
+                  replicas: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts and replicas of a noisy read at ``points``.
+
+    Count ``k`` is ``substream(seed, 0, points[k]).poisson(lam[k])`` and its
+    replicas row is ``substream(seed, 1, points[k]).poisson(lam[k],
+    replicas)``.  The keys of both streams come from one
+    :func:`_point_keys` pass, and the calling thread's one Philox and
+    Generator draw every point: before each point the bit generator is reset
+    to the state its substream starts from (that key, counter zero, buffer
+    empty), so every draw equals the per-point substream's bit for bit,
+    whatever the order of ``points``, however often a point repeats and
+    whatever the thread drew before.  A full read of ``n`` points passes
+    ``np.arange(n)``.  ``points`` and ``lam`` are 1-D of one length; the
+    results have shapes ``(len(lam),)`` and ``(len(lam), replicas)``.
     """
     lam = np.asarray(lam, dtype=float)
     # Python ints re-key the generator faster than numpy uint64 rows
-    keys = _point_keys(seed, label, points).tolist()
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    count_keys, replica_keys = _point_keys(seed, (0, 1), points).tolist()
+    if not hasattr(_local, "pair"):
+        bitgen = np.random.Philox(0)
+        _local.pair = bitgen, np.random.Generator(bitgen)
+    bitgen, gen = _local.pair
     # a freshly seeded Philox: counter zero, four-word output buffer used up
     words = {"counter": [0, 0, 0, 0], "key": [0, 0]}
     state = {"bit_generator": "Philox", "state": words, "buffer": [0, 0, 0, 0],
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    out = np.empty(lam.shape + (() if size is None else (size,)), dtype=np.int64)
-    for j, (mu, key) in enumerate(zip(lam, keys)):
-        words["key"] = key
-        bitgen.state = state
-        out[j] = gen.poisson(mu, size)
-    return out
+    counts = np.empty(lam.shape, dtype=np.int64)
+    drawn = np.empty(lam.shape + (replicas,), dtype=np.int64)
+    for out, size, keys in ((counts, None, count_keys),
+                            (drawn, replicas, replica_keys)):
+        for j, (mu, key) in enumerate(zip(lam, keys)):
+            words["key"] = key
+            bitgen.state = state
+            out[j] = gen.poisson(mu, size)
+    return counts, drawn
 
 
 def _mulhilo(a: int, b):

@@ -7,12 +7,15 @@ etalon's Airy transmission at its distance from ``d``.  Counting noise is
 Poisson per scan point, with error bars estimated from independent
 Monte-Carlo replicas.  Point ``j`` draws its count from ``substream(seed,
 0, j)`` and its replicas from ``substream(seed, 1, j)``, so results do not
-depend on evaluation order; :func:`~cfcomm.rand.point_poisson` draws them
-from one re-keyed Philox.  A spectrum is a read-only value of its grid,
-expected counts and noise seed; a noisy one draws its counts when they are
-read, and only at the points read: peak extraction draws the carrier and
-sideband points, a full read the whole grid, once.  A scan grid holds at
-most ``MAX_SCAN_POINTS`` points.
+depend on evaluation order or thread; one
+:func:`~cfcomm.rand.point_poisson` call draws both for the points of a
+read, from the calling thread's re-keyed Philox.  A spectrum is a
+read-only value of its grid, expected counts and noise seed; a noisy one
+draws its counts when they are read, and only at the points read: peak
+extraction draws the carrier and sideband points, a full read the whole
+grid, once.  Scans of the same light through the same etalon on the same
+grid, noisy or not, share one cached, read-only table of grid and
+expected counts.  A scan grid holds at most ``MAX_SCAN_POINTS`` points.
 
 The worst side peak of a source cascade is searched on a fine grid, but the
 profile is evaluated only where it could reach it: an upper bound per block
@@ -26,13 +29,13 @@ import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ConfigError, TopologyError
-from .optics import PhotonState, detuning_ghz
+from .optics import RESULT_CACHE_SIZE, PhotonState, detuning_ghz
 from .rand import check_seed, point_poisson
 
 #: peaks must clear this many local-baseline standard errors to count as present
@@ -246,9 +249,8 @@ class Spectrum:
         lam = self.expected[points]
         if self.seed is None:
             return lam, np.zeros_like(lam)
-        return (point_poisson(self.seed, 0, points, lam).astype(float),
-                np.std(point_poisson(self.seed, 1, points, lam, 100),
-                       axis=1, ddof=1))
+        counts, replicas = point_poisson(self.seed, points, lam, 100)
+        return counts.astype(float), np.std(replicas, axis=1, ddof=1)
 
     @cached_property
     def _full_read(self) -> tuple[np.ndarray, np.ndarray]:
@@ -318,8 +320,6 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
     has ``2 x round(half_range / step) + 1`` points, at most
     ``MAX_SCAN_POINTS``.
     """
-    from .circuit import propagate  # deferred: keeps module imports acyclic
-
     if detector not in circuit.detectors:  # before any walk
         raise TopologyError(f"unknown detector {detector!r}")
     if not 0.0 < photons < math.inf:
@@ -346,8 +346,21 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
             f"modulation frequency {max(freqs.values())} GHz; peaks will fall "
             "outside the window", stacklevel=2)
 
-    comps = detector_components(propagate(circuit), detector, freqs)
+    grid, expected = _scan_table(circuit, detector, scan, tuple(freqs.items()),
+                                 n_half, step_ghz, photons)
+    return Spectrum(grid, expected, detector, scan, seed if noise else None)
 
+
+@lru_cache(maxsize=RESULT_CACHE_SIZE)
+def _scan_table(circuit, detector: str, scan: Etalon, freqs: tuple,
+                n_half: int, step_ghz: float, photons: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only grid and expected counts of a checked scan, computed
+    once for every scan of the same light through the same etalon, noisy
+    or not; ``freqs`` holds the (label, GHz) items of the modulators."""
+    from .circuit import propagate  # deferred: keeps module imports acyclic
+
+    comps = detector_components(propagate(circuit), detector, dict(freqs))
     grid = np.arange(-n_half, n_half + 1, dtype=float) * step_ghz
     d = np.array([dk for dk, _ in comps])
     q = np.array([qk for _, qk in comps])
@@ -355,8 +368,8 @@ def scan_spectrum(circuit, detector: str, scan: Etalon, eoms, *,
     expected = np.add.reduce(q[:, None] * scan.transmission(grid - d[:, None]),
                              axis=0)
     expected *= photons
-
-    return Spectrum(grid, expected, detector, scan, seed if noise else None)
+    grid.flags.writeable = expected.flags.writeable = False
+    return grid, expected
 
 
 # --------------------------------------------------------------------------
@@ -429,6 +442,14 @@ def extract_peaks(s: Spectrum, eoms,
         positions.extend((+freq[lab], -freq[lab]))
     # each position's grid point, found once for the heights and error bars
     idx = s.nearest_indices(positions)
+    # two positions on one point make two equal rows of the solve below:
+    # refused before it, and before any draw
+    first = {}
+    for pos, k in zip(positions, idx.tolist()):
+        if k in first:
+            raise ConfigError(f"peak positions {first[k]} and {pos} GHz fall on "
+                              f"one scan point; their heights cannot be told apart")
+        first[k] = pos
     y, err = s.counts(idx)
     # The measured spectrum is a sum of one Airy line per component, so the
     # intensities at the component positions form a small linear system

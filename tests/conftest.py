@@ -91,3 +91,25 @@ def listing_walk_gap(c, listing) -> float:
     amps = oracles.listing_terminal(listing)
     return max(abs(p - oracles.detector_prob(amps, d))
                for d, p in detection_probs(c).items())
+
+
+def weak_values_match_the_walk(c) -> None:
+    """Every detector's walked amplitudes against the weak-value identity
+    of ``oracles.two_state_terminal``: the carrier bit for bit, equal to
+    the strip's, and each first-order tag within 1e-14 of the detector's
+    total, taken as an amplitude (the root of the summed squares, which
+    neither underflows nor overflows), the unit of the gap."""
+    import math
+
+    import oracles
+    from cfcomm.circuit import propagate
+
+    walked, strip = propagate(c), propagate(stripped(c))
+    for d in c.detectors:
+        carrier, tags = oracles.two_state_terminal(as_listing(c), c.sources, d)
+        got = dict(walked.components(d))
+        total = math.hypot(*map(abs, got.values()))
+        assert got.pop((), 0j) == carrier == strip.amp(d), d
+        for tag in got.keys() | tags.keys():
+            gap = abs(got.get(tag, 0j) - tags.get(tag, 0j))
+            assert gap <= 1e-14 * total, (d, tag, gap, total)

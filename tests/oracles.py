@@ -368,6 +368,43 @@ def listing_terminal(listing) -> dict:
     return amps
 
 
+def two_state_terminal(listing, sources, detector: str) -> tuple[complex, dict]:
+    """The carrier and the first-order sideband amplitudes at ``detector``
+    from the two walks alone, the weak-value identity: the carrier is the
+    forward carrier walk's, and tag ``t`` collects, over the modulator
+    passes ``k`` that write it, ``alpha_k F[k][arm_k] conj(B[k][arm_k])``.
+
+    ``F[k]`` is the carrier-only forward walk of a :func:`bench_listing`
+    from ``sources`` just before element ``k``, and ``B[k]`` the backward
+    walk from a unit carrier on ``detector``, by adjoint :func:`transfer`
+    steps, at the same cut; a modulator is the identity on both.  Passes
+    that share a label, sign and instance add coherently.
+    """
+    amps: dict = {}
+    for mode, a in sources:
+        amps[(mode, ())] = amps.get((mode, ()), 0j) + complex(a)
+    forward = []
+    for name, ins, outs, m in listing:
+        forward.append(amps)
+        if name != "modulator":
+            amps = transfer(amps, ins, outs, m, adjoint=False)
+    carrier = amps.get((detector, ()), 0j)
+    backward = {(detector, ()): 1.0 + 0j}
+    tags: dict = {}
+    for k in reversed(range(len(listing))):
+        name, ins, outs, m = listing[k]
+        if name == "modulator":
+            label, _, alpha, instance = m
+            arm = (ins[0], ())
+            w = alpha * forward[k].get(arm, 0j) * backward.get(arm, 0j).conjugate()
+            for sign in (+1, -1):
+                tag = ((label, sign, instance),)
+                tags[tag] = tags.get(tag, 0j) + w
+        else:
+            backward = transfer(backward, ins, outs, m, adjoint=True)
+    return carrier, tags
+
+
 # --------------------------------------------------------------------------
 # etalons
 # --------------------------------------------------------------------------

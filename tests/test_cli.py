@@ -48,20 +48,21 @@ def test_spectrum_writes_csv_and_peak_table(tmp_path, capsys):
 
 def test_noisy_spectrum_draws_each_point_once(tmp_path, capsys, monkeypatch):
     """The CSV reads the whole grid, so it is drawn once, before the peaks,
-    which then read the drawn counts: one full draw per label."""
+    which then read the drawn counts: one joint draw of counts and replicas
+    over the whole grid."""
     from cfcomm import spectral
     real, drawn = spectral.point_poisson, []
 
-    def counting(seed, label, points, lam, size=None):
+    def counting(seed, points, lam, replicas):
         drawn.append(len(points))
-        return real(seed, label, points, lam, size)
+        return real(seed, points, lam, replicas)
 
     monkeypatch.setattr(spectral, "point_poisson", counting)
     out = tmp_path / "scan.csv"
     code, stdout, _ = run(capsys, "spectrum", "--preset", "bit1",
                           "--detector", "det1", "--out", str(out))
     assert code == 0 and json.loads(stdout)["labels"]["B"]["present"]
-    assert drawn == [161, 161]
+    assert drawn == [161]
     assert len(out.read_text().splitlines()) == 162
 
 

@@ -125,40 +125,54 @@ KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**53 + 1, 2**64 - 1]
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 @pytest.mark.parametrize("label", [0, 1, 2**32 - 1])
 def test_point_keys_equal_seed_sequence_keys(seed, label):
-    """Every index a scan grid can hold, one- and two-word seeds alike, and
-    the largest label an entropy word holds."""
-    keys = _point_keys(seed, label, np.arange(MAX_SCAN_POINTS))
-    assert keys.shape == (MAX_SCAN_POINTS, 2) and keys.dtype == np.uint64
+    """Every index a scan grid can hold, one- and two-word seeds alike, for
+    two labels keyed in one pass, among them the largest an entropy word
+    holds."""
+    labels = (label, 2**32 - 1 - label)
+    keys = _point_keys(seed, labels, np.arange(MAX_SCAN_POINTS))
+    assert keys.shape == (2, MAX_SCAN_POINTS, 2) and keys.dtype == np.uint64
     drawn = np.random.default_rng([seed, label]).integers(300, MAX_SCAN_POINTS, 40)
-    for j in [*range(300), *drawn.tolist(), MAX_SCAN_POINTS - 1]:
-        want = np.random.SeedSequence(seed, spawn_key=(label, j)).generate_state(
-            2, np.uint64)
-        assert np.array_equal(keys[j], want), j
+    for i, lab in enumerate(labels):
+        for j in [*range(300), *drawn.tolist(), MAX_SCAN_POINTS - 1]:
+            want = np.random.SeedSequence(seed, spawn_key=(lab, j)).generate_state(
+                2, np.uint64)
+            assert np.array_equal(keys[i, j], want), (lab, j)
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 @pytest.mark.parametrize("label", [0, 1])
 def test_point_keys_of_given_points_are_rows_of_the_full_table(seed, label):
-    """Unsorted and repeated points, as an array or a list."""
-    full = _point_keys(seed, label, np.arange(MAX_SCAN_POINTS))
+    """Unsorted and repeated points, as an array or a list, for both labels
+    of a pass in either order."""
+    labels = (label, 1 - label)
+    full = _point_keys(seed, labels, np.arange(MAX_SCAN_POINTS))
     points = np.array([MAX_SCAN_POINTS - 1, 3, 40000, 3, 0, 80, 79])
-    assert np.array_equal(_point_keys(seed, label, points), full[points])
-    assert np.array_equal(_point_keys(seed, label, points.tolist()), full[points])
+    assert np.array_equal(_point_keys(seed, labels, points), full[:, points])
+    assert np.array_equal(_point_keys(seed, labels, points.tolist()),
+                          full[:, points])
+    assert np.array_equal(_point_keys(seed, labels[:1], points), full[:1, points])
 
 
 LAMS = np.array([0.0, 1e-3, 5.0, 9.999, 10.0, 1e4, 1e12])
 
 
+def stream_of(read, size):
+    """The counts of a joint read (``size`` None, stream 0) or its replicas
+    (``size`` 100, stream 1): the stream and the draws from it."""
+    return (0, read[0]) if size is None else (1, read[1])
+
+
 @pytest.mark.parametrize("seed", [0, 2**32 + 3, 2**64 - 1])
 @pytest.mark.parametrize("size", [None, 100])
 def test_point_poisson_equals_per_point_substreams(seed, size):
-    """Both of numpy's Poisson branches (below and from mean 10)."""
-    for label in (0, 1):
-        got = point_poisson(seed, label, np.arange(LAMS.size), LAMS, size)
-        assert got.shape == LAMS.shape + (() if size is None else (size,))
-        for j, lam in enumerate(LAMS):
-            want = substream(seed, label, j).poisson(lam, size)
-            assert np.array_equal(got[j], want), (label, j)
+    """Both of numpy's Poisson branches (below and from mean 10), for the
+    counts and for the replicas of one joint read."""
+    read = point_poisson(seed, np.arange(LAMS.size), LAMS, 100)
+    assert read[0].shape == LAMS.shape and read[1].shape == LAMS.shape + (100,)
+    label, got = stream_of(read, size)
+    for j, lam in enumerate(LAMS):
+        want = substream(seed, label, j).poisson(lam, size)
+        assert np.array_equal(got[j], want), (label, j)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 + 3, 2**64 - 1])
@@ -167,10 +181,10 @@ def test_point_poisson_of_a_subset_equals_the_full_draw(seed, size):
     """Unsorted and repeated points, in both Poisson branches, draw what a
     full draw and the per-point substreams draw at them."""
     points = np.array([6, 2, 5, 2, 0, 4, 6, 3, 1])
-    for label in (0, 1):
-        full = point_poisson(seed, label, np.arange(LAMS.size), LAMS, size)
-        got = point_poisson(seed, label, points, LAMS[points], size)
-        assert np.array_equal(got, full[points])
-        for k, j in enumerate(points):
-            want = substream(seed, label, j).poisson(LAMS[j], size)
-            assert np.array_equal(got[k], want), (label, j)
+    label, full = stream_of(point_poisson(seed, np.arange(LAMS.size), LAMS, 100),
+                            size)
+    _, got = stream_of(point_poisson(seed, points, LAMS[points], 100), size)
+    assert np.array_equal(got, full[points])
+    for k, j in enumerate(points):
+        want = substream(seed, label, j).poisson(LAMS[j], size)
+        assert np.array_equal(got[k], want), (label, j)

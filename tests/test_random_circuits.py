@@ -21,7 +21,7 @@ from cfcomm.optics import (CARRIER, Attenuator, Beamsplitter, Block, Eom, Linear
                            Mirror, PhaseShift, apply_adjoint, apply_element)
 
 import oracles
-from conftest import stripped
+from conftest import stripped, weak_values_match_the_walk
 
 #: modulator labels and their frequencies in GHz
 LABELS = {"A": 2.1, "B": 1.0, "C": 1.6}
@@ -157,6 +157,15 @@ def test_drawn_circuit_probabilities_and_overlaps(c):
         assert p2[d] == pytest.approx(oracles.detector_prob(walk, d), rel=1e-13)
         vals = [overlap(f, b) for f, b in zip(fwd, backward_cuts(c, d))]
         assert max(abs(v - vals[0]) for v in vals) <= 1e-12
+
+
+@given(c=circuits())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_drawn_circuit_sidebands_obey_the_weak_value_identity(c):
+    """Repeated labels and instances, several sources and modulators on
+    detector arms: each tagged component at each detector is the coherent
+    sum of ``alpha F conj(B)`` over the passes that write its tag."""
+    weak_values_match_the_walk(c)
 
 
 @given(c=circuits())

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -254,10 +256,15 @@ detunings = st.one_of(st.sampled_from([0.0, 2.8, -2.8]), st.floats(-6.0, 6.0))
 @given(comps=st.lists(st.tuples(detunings, st.floats(0.0, 1.0, exclude_min=True)),
                       max_size=300))
 def test_scan_sums_drawn_components_like_the_per_component_loop(bench, comps):
-    """Empty, single, many and repeated components, bit for bit."""
+    """Empty, single, many and repeated components, bit for bit.  The scan
+    table is computed under the stand-in components and leaves no entry."""
     c = build_circuit(bench, "bit1")
     with mock.patch.object(spectral, "detector_components", lambda *a: comps):
-        s = scan_spectrum(c, "det1", bench.scan_etalon, bench.eoms, noise=False)
+        spectral._scan_table.cache_clear()
+        try:
+            s = scan_spectrum(c, "det1", bench.scan_etalon, bench.eoms, noise=False)
+        finally:
+            spectral._scan_table.cache_clear()
     want = np.zeros_like(s.detuning_ghz)
     for dk, qk in comps:
         want += qk * bench.scan_etalon.transmission(s.detuning_ghz - dk)
@@ -358,13 +365,14 @@ def test_peaks_of_a_fresh_noisy_scan_equal_those_of_its_full_read(bench, seed):
 
 
 def test_extract_peaks_draws_only_the_points_it_reads(bench, monkeypatch):
-    """The carrier and the +- sidebands of five modulators: 11 points per
-    label; a later full read draws the whole grid."""
+    """The carrier and the +- sidebands of five modulators: 11 points, in
+    one joint draw of counts and replicas; a later full read draws the
+    whole grid once, and a read after it draws nothing."""
     real, drawn = spectral.point_poisson, []
 
-    def counting(seed, label, points, lam, size=None):
-        drawn.append((label, list(points)))
-        return real(seed, label, points, lam, size)
+    def counting(seed, points, lam, replicas):
+        drawn.append(list(points))
+        return real(seed, points, lam, replicas)
 
     monkeypatch.setattr(spectral, "point_poisson", counting)
     s = noisy_bit1(bench)
@@ -373,14 +381,54 @@ def test_extract_peaks_draws_only_the_points_it_reads(bench, monkeypatch):
     positions = [0.0] + [f for e in sorted(bench.eoms, key=lambda e: e.label)
                          for f in (e.freq_ghz, -e.freq_ghz)]
     want = s.nearest_indices(positions).tolist()
-    assert len(want) == 11 and drawn == [(0, want), (1, want)]
+    assert len(want) == 11 and drawn == [want]
     drawn.clear()
     n = s.detuning_ghz.size
     assert s.stderr.size == s.intensity.size == n
-    assert drawn == [(0, list(range(n))), (1, list(range(n)))]
+    assert drawn == [list(range(n))]
     drawn.clear()
     extract_peaks(s, bench.eoms)
     assert drawn == []
+
+
+def test_concurrent_reads_equal_the_serial_reads(bench):
+    """Four threads read, at once, the same noisy spectra and spectra of
+    their own: peak reads first, then full reads.  With the interpreter
+    switching threads every microsecond, each read still equals the serial
+    read, since every thread draws with its own generator, reset before
+    each point."""
+    seeds = {"shared": (3, 4), 0: (5, 6), 1: (7, 8), 2: (9, 10), 3: (11, 12)}
+
+    def reads(spectra):
+        peaks = [extract_peaks(s, bench.eoms).to_jsonable() for s in spectra]
+        return peaks, [(s.intensity, s.stderr) for s in spectra]
+
+    want = {key: reads([noisy_bit1(bench, seed) for seed in pair])
+            for key, pair in seeds.items()}
+    shared = [noisy_bit1(bench, seed) for seed in seeds["shared"]]
+    own = {t: [noisy_bit1(bench, seed) for seed in seeds[t]] for t in range(4)}
+    start, got = threading.Barrier(4), {}
+
+    def work(t):
+        start.wait(timeout=30)
+        got[t] = reads(shared + own[t])
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t in range(4):
+        peaks, full = got[t]
+        assert peaks == want["shared"][0] + want[t][0]
+        for (y, err), (y0, err0) in zip(full, want["shared"][1] + want[t][1]):
+            assert np.array_equal(y, y0) and np.array_equal(err, err0)
 
 
 def test_scan_grid_size_is_limited(bench):
@@ -413,6 +461,44 @@ def test_scan_grid_and_guards(bench):
     with pytest.warns(UserWarning, match="scan range"):
         scan_spectrum(c, "det0", bench.scan_etalon, bench.eoms,
                       half_range_ghz=2.0, noise=False)
+
+
+def test_scans_share_one_expected_count_table(bench, monkeypatch):
+    """A noise-free and a noisy scan of one circuit and detector compute
+    their counts once, into read-only arrays; another photon number,
+    detector or grid is a table of its own.  The range warning and the
+    argument checks still run on every call."""
+    real, computed = spectral.detector_components, []
+
+    def counting(state, detector, freqs):
+        computed.append(detector)
+        return real(state, detector, freqs)
+
+    monkeypatch.setattr(spectral, "detector_components", counting)
+    spectral._scan_table.cache_clear()
+    c = build_circuit(bench, "calibration")
+
+    def scan(detector="det0", **kw):
+        return scan_spectrum(c, detector, bench.scan_etalon, bench.eoms, **kw)
+
+    quiet, noisy = scan(noise=False), scan(seed=9)
+    assert computed == ["det0"]
+    assert np.array_equal(quiet.expected, noisy.expected)
+    table = spectral._scan_table(c, "det0", bench.scan_etalon,
+                                 tuple((e.label, e.freq_ghz) for e in bench.eoms),
+                                 80, 0.05, 1e6)
+    assert computed == ["det0"] and not any(a.flags.writeable for a in table)
+    assert np.array_equal(table[1], quiet.expected)
+    scan(photons=1e4), scan(detector="det1"), scan(step_ghz=0.025)
+    assert computed == ["det0", "det0", "det1", "det0"]
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="scan range"):
+            scan(half_range_ghz=2.0, noise=False)
+        with pytest.raises(ConfigError, match="seed"):
+            scan(seed=-1)
+        with pytest.raises(ConfigError, match="photon"):
+            scan(photons=math.inf)
+    assert computed == ["det0", "det0", "det1", "det0", "det0"]
 
 
 def test_unknown_detector_is_refused_before_any_walk(bench):
@@ -520,6 +606,17 @@ def test_extract_peaks_refuses_a_nan_modulation_frequency(bench):
             for e in bench.eoms]
     with pytest.raises(ConfigError, match="cover"):
         extract_peaks(s, eoms)
+
+
+def test_extract_peaks_refuses_two_positions_on_one_scan_point(bench, monkeypatch):
+    """F at E's 2.8 GHz, which a DeviceConfig refuses, passed straight to
+    the extraction: refused before any draw, not a singular solve."""
+    eoms = [dataclasses.replace(e, freq_ghz=2.8) if e.label == "F" else e
+            for e in bench.eoms]
+    monkeypatch.setattr(spectral, "point_poisson", None)  # any draw fails
+    for s in (noise_off(bench, "calibration", "det0"), noisy_bit1(bench)):
+        with pytest.raises(ConfigError, match="2.8 and 2.8 GHz fall on one scan"):
+            extract_peaks(s, eoms)
 
 
 def test_extract_peaks_calibration_gate(bench):

@@ -1,6 +1,7 @@
 """Two-state-vector bookkeeping: overlaps, weak traces, strengths."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +9,12 @@ from cfcomm import circuit
 from cfcomm.circuit import (backward_cuts, build_circuit, detection_probs,
                             overlap, propagate_cuts, sideband_strengths,
                             two_state_vector, weak_trace)
-from cfcomm.config import reference_device
+from cfcomm.config import load_config, reference_device
 from cfcomm.errors import UndefinedPostselectionError
 from cfcomm.optics import CARRIER
 
 import oracles
+from conftest import weak_values_match_the_walk
 
 # the oracle's closed-form tables key arms by their bench shorthand
 ARM_KEY = {
@@ -106,3 +108,13 @@ def test_backward_state_starts_as_unit_click(bench):
     cuts = backward_cuts(c, "det1")
     assert cuts[-1].amp("det1", CARRIER) == 1.0 + 0j
     assert len(cuts) == len(propagate_cuts(c))
+
+
+@pytest.mark.parametrize("preset", circuit.PRESETS)
+def test_weak_value_identity_per_sideband_component(preset):
+    """Each walked sideband component at each detector is its passes' sum
+    of ``alpha F conj(B)`` over the oracle's two walks, on the packaged
+    benches and on one whose splitters all differ."""
+    for cfg in (reference_device(), reference_device(fitted=True),
+                load_config(Path(__file__).with_name("data") / "asymmetric-bench.json")):
+        weak_values_match_the_walk(build_circuit(cfg, preset))

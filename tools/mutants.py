@@ -52,6 +52,10 @@ FROZEN_TESTS = "tests/test_values.py::test_every_dataclass_is_frozen"
 STRIP_TESTS = "tests/test_folded.py::test_modulator_free_circuit_is_the_strip_of_the_unrolling"
 SHARED_WALK_TESTS = "tests/test_folded.py::test_both_circuits_of_a_preset_share_one_backward_walk"
 BITMAP_DIMENSION_TESTS = "tests/test_protocol.py::test_bitmap_dimensions_must_be_integers"
+CONCURRENT_TESTS = "tests/test_spectral.py::test_concurrent_reads_equal_the_serial_reads"
+WEAK_VALUE_TESTS = "tests/test_tsvf.py::test_weak_value_identity_per_sideband_component"
+DRAWN_WEAK_VALUE_TESTS = (
+    "tests/test_random_circuits.py::test_drawn_circuit_sidebands_obey_the_weak_value_identity")
 
 #: (name, file, snippet, replacement, node ids that must fail)
 MUTANTS = (
@@ -223,6 +227,30 @@ MUTANTS = (
       "tests/test_rand.py::test_point_keys_equal_seed_sequence_keys[4294967295-18446744073709551615]",
       "tests/test_rand.py::test_point_poisson_equals_per_point_substreams[None-0]",
       "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1]")),
+    # the joint read's counts come from the replicas' stream and back
+    ("joint-read-streams-swapped", RAND,
+     "count_keys, replica_keys = _point_keys(seed, (0, 1), points).tolist()",
+     "replica_keys, count_keys = _point_keys(seed, (0, 1), points).tolist()",
+     ("tests/test_rand.py::test_point_poisson_equals_per_point_substreams[None-0]",
+      "tests/test_rand.py::test_point_poisson_equals_per_point_substreams[100-0]",
+      "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[None-0]",
+      "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1]")),
+    # a point starts on the words the previous point, or the thread's last
+    # read, left in the generator's buffer
+    ("generator-buffer-kept", RAND,
+     "            bitgen.state = state\n",
+     '            state.update({k: bitgen.state[k] for k in ("buffer", "buffer_pos")})\n'
+     "            bitgen.state = state\n",
+     ("tests/test_rand.py::test_point_poisson_equals_per_point_substreams[None-0]",
+      "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[None-0]",
+      "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[100-0]",
+      CONCURRENT_TESTS)),
+    # every thread re-keys one shared generator between another's reset and
+    # its draw
+    ("generator-shared-by-threads", RAND,
+     "_local = threading.local()",
+     '_local = type("Shared", (), {})()',
+     (CONCURRENT_TESTS,)),
     ("airy-approximate-sin", SPECTRAL,
      "s = np.sin(math.pi * detuning_ghz / self.fsr_ghz)",
      "x = math.pi * detuning_ghz / self.fsr_ghz\n"
@@ -405,6 +433,32 @@ MUTANTS = (
      "        intensity.flags.writeable = stderr.flags.writeable = False\n",
      "",
      ("tests/test_spectral.py::test_spectra_are_read_only_values",)),
+    ("scan-table-writable", SPECTRAL,
+     "    grid.flags.writeable = expected.flags.writeable = False\n",
+     "",
+     ("tests/test_spectral.py::test_scans_share_one_expected_count_table",)),
+    # two equal rows reach the solve, or the draws
+    ("two-peaks-on-one-point-unchecked", SPECTRAL,
+     "        if k in first:\n",
+     "        if False:\n",
+     ("tests/test_spectral.py::test_extract_peaks_refuses_two_positions_on_one_scan_point",)),
+    # the weak-value identity per sideband component: the phase of each
+    # sideband, which no intensity on the benches shows
+    ("sideband-from-conjugate-carrier", OPTICS,
+     "complex(e.alpha) * a\n",
+     "complex(e.alpha) * a.conjugate()\n",
+     (WEAK_VALUE_TESTS + "[bit0]", WEAK_VALUE_TESTS + "[bit1]",
+      WEAK_VALUE_TESTS + "[calibration]", DRAWN_WEAK_VALUE_TESTS)),
+    ("down-sideband-negated", OPTICS,
+     "amps[key] = amps.get(key, 0j) + complex(e.alpha) * a",
+     "amps[key] = amps.get(key, 0j) + sign * complex(e.alpha) * a",
+     (WEAK_VALUE_TESTS + "[bit0]", WEAK_VALUE_TESTS + "[calibration]",
+      DRAWN_WEAK_VALUE_TESTS)),
+    ("pass-instances-share-a-bucket", OPTICS,
+     "key = (e.mode, ((e.label, sign, e.instance),))",
+     "key = (e.mode, ((e.label, sign, 1),))",
+     (WEAK_VALUE_TESTS + "[bit1]", WEAK_VALUE_TESTS + "[calibration]",
+      DRAWN_WEAK_VALUE_TESTS)),
     ("sector-table-writable", PROTOCOL,
      "return MappingProxyType({name:",
      "return dict({name:",
