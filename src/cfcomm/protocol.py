@@ -295,7 +295,6 @@ def _decode_block(bits: np.ndarray, u1: np.ndarray, u2: np.ndarray,
         received = np.where(2 * wrong > quota, 1 - bits, bits)
         erased = (2 * wrong == quota) | ~clickable
 
-    erased |= ~clickable
     received = np.where(erased, 0, received)
     return received, erased, trials
 

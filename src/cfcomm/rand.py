@@ -7,10 +7,11 @@ Two stream families, both keyed on a single user seed:
   draws the per-scan-point counting noise from exactly these streams
   without building one: in one call, the counts of the requested points
   ``j`` from ``substream(seed, 0, j)`` and their replicas from
-  ``substream(seed, 1, j)``.  :func:`_point_keys` computes the keys of both
-  streams in one ``(4, 2, n)`` array pass over the four pool words, and
-  the calling thread's one Philox is re-keyed and reset before each point.
-  A subset of points draws what a full scan draws at them, in any thread.
+  ``substream(seed, 1, j)``.  :func:`_point_keys` takes each stream's pool
+  from numpy's ``SeedSequence(seed, spawn_key=(label,))`` and keys both
+  streams in one ``(4, 2, n)`` array pass over the four pool words; the
+  read's own Philox is re-keyed and reset before each point.  A subset of
+  points draws what a full scan draws at them, in any thread.
 * :func:`bit_uniforms` — counter-based Philox4x64-10 (Salmon et al.,
   "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Channel use ``i``
   owns the counters ``(b, 0, i, 0)``, ``b = 1, 2, ...``, under one key per
@@ -25,7 +26,6 @@ other seed raises :class:`~cfcomm.errors.ConfigError` (:func:`check_seed`).
 from __future__ import annotations
 
 import operator
-import threading
 
 import numpy as np
 
@@ -70,19 +70,9 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         np.random.SeedSequence(check_seed(seed), spawn_key=path)))
 
 
-def _hashmix(value: int, const: int, mult: int) -> tuple[int, int]:
-    """One SeedSequence hash step; returns the word and the next constant."""
-    const_next = const * mult & _MASK32
-    value = (value ^ const) * const_next & _MASK32
-    return value ^ value >> 16, const_next
-
-
 def _mix(x, y):
-    """SeedSequence's pool mixing of word ``x`` with hashed word ``y``.
-
-    Words are ints or ``uint32`` arrays, which wrap silently where numpy
-    integer scalars would warn on overflow.
-    """
+    """SeedSequence's pool mixing of ``uint32`` array ``x`` with hashed
+    array ``y``; the words wrap silently."""
     value = ((_SS_MIX_L * x & _MASK32) - _SS_MIX_R * y) & _MASK32
     return value ^ value >> 16
 
@@ -110,9 +100,8 @@ def _point_keys(seed: int, labels, points) -> np.ndarray:
 
     Item ``[i, k]`` of the ``(len(labels), len(points), 2)`` result is
     ``SeedSequence(seed, spawn_key=(labels[i], points[k])).generate_state(2,
-    np.uint64)``.  Its entropy words are the seed's 32-bit words zero-padded
-    to the pool size 4, then the label, then the point.  The seed's pool
-    rounds run once in ints, and each label's mixing continues from them.
+    np.uint64)``.  The point is the last entropy word, so each label's pool
+    before it is numpy's ``SeedSequence(seed, spawn_key=(label,)).pool``.
     Only the last mixing step sees the point: there it meets each pool word
     of each label under a constant of its own, and each word then takes its
     final hash, both one ``(4, len(labels), len(points))`` array pass with
@@ -120,25 +109,8 @@ def _point_keys(seed: int, labels, points) -> np.ndarray:
     point must fit one entropy word, that is lie in ``[0, 2**32)``.
     """
     seed = check_seed(seed)
-    # a one-word seed's zero padding reads as a zero high word
-    const, pool = _SS_INIT_A, []
-    for word in (seed & _MASK32, seed >> 32, 0, 0):
-        word, const = _hashmix(word, const, _SS_MULT_A)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const, _SS_MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-    # the label's hash steps continue the chain from the same constant for
-    # every label
-    pools = []
-    for label in labels:
-        words, step = list(pool), const
-        for dst in range(4):
-            hashed, step = _hashmix(label, step, _SS_MULT_A)
-            words[dst] = _mix(words[dst], hashed)
-        pools.append(words)
+    pools = [np.random.SeedSequence(seed, spawn_key=(label,)).pool
+             for label in labels]
     hashed = (np.asarray(points, dtype=np.uint32) ^ _POINT_XOR) * _POINT_MULT
     state = _mix(np.array(pools, dtype=np.uint32).T[:, :, None],
                  hashed ^ hashed >> 16)
@@ -148,11 +120,6 @@ def _point_keys(seed: int, labels, points) -> np.ndarray:
     return np.moveaxis(state[0::2] | state[1::2] << 32, 0, -1)
 
 
-#: each thread's one Philox and the Generator that draws from it, made on
-#: the thread's first noisy read; a read sets the whole state before a draw
-_local = threading.local()
-
-
 def point_poisson(seed: int, points, lam,
                   replicas: int) -> tuple[np.ndarray, np.ndarray]:
     """The counts and replicas of a noisy read at ``points``.
@@ -160,22 +127,20 @@ def point_poisson(seed: int, points, lam,
     Count ``k`` is ``substream(seed, 0, points[k]).poisson(lam[k])`` and its
     replicas row is ``substream(seed, 1, points[k]).poisson(lam[k],
     replicas)``.  The keys of both streams come from one
-    :func:`_point_keys` pass, and the calling thread's one Philox and
-    Generator draw every point: before each point the bit generator is reset
-    to the state its substream starts from (that key, counter zero, buffer
-    empty), so every draw equals the per-point substream's bit for bit,
-    whatever the order of ``points``, however often a point repeats and
-    whatever the thread drew before.  A full read of ``n`` points passes
-    ``np.arange(n)``.  ``points`` and ``lam`` are 1-D of one length; the
-    results have shapes ``(len(lam),)`` and ``(len(lam), replicas)``.
+    :func:`_point_keys` pass, and the read's own Philox and Generator draw
+    every point: before each point the bit generator is reset to the state
+    its substream starts from (that key, counter zero, buffer empty), so
+    every draw equals the per-point substream's bit for bit, whatever the
+    order of ``points`` and however often a point repeats.  A full read of
+    ``n`` points passes ``np.arange(n)``.  ``points`` and ``lam`` are 1-D of
+    one length; the results have shapes ``(len(lam),)`` and ``(len(lam),
+    replicas)``.
     """
     lam = np.asarray(lam, dtype=float)
     # Python ints re-key the generator faster than numpy uint64 rows
     count_keys, replica_keys = _point_keys(seed, (0, 1), points).tolist()
-    if not hasattr(_local, "pair"):
-        bitgen = np.random.Philox(0)
-        _local.pair = bitgen, np.random.Generator(bitgen)
-    bitgen, gen = _local.pair
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
     # a freshly seeded Philox: counter zero, four-word output buffer used up
     words = {"counter": [0, 0, 0, 0], "key": [0, 0]}
     state = {"bit_generator": "Philox", "state": words, "buffer": [0, 0, 0, 0],

@@ -9,13 +9,15 @@ Monte-Carlo replicas.  Point ``j`` draws its count from ``substream(seed,
 0, j)`` and its replicas from ``substream(seed, 1, j)``, so results do not
 depend on evaluation order or thread; one
 :func:`~cfcomm.rand.point_poisson` call draws both for the points of a
-read, from the calling thread's re-keyed Philox.  A spectrum is a
-read-only value of its grid, expected counts and noise seed; a noisy one
-draws its counts when they are read, and only at the points read: peak
-extraction draws the carrier and sideband points, a full read the whole
-grid, once.  Scans of the same light through the same etalon on the same
-grid, noisy or not, share one cached, read-only table of grid and
-expected counts.  A scan grid holds at most ``MAX_SCAN_POINTS`` points.
+read, from a Philox of the read's own, re-keyed before each point.  A
+spectrum is a read-only value of its grid, expected counts and checked
+noise seed; a noisy one draws its counts when they are read, and only at
+the points read: peak extraction draws the carrier and sideband points, a
+full read the whole grid, once.  Peak extraction refuses, before any draw,
+two positions whose grid points coincide modulo the scan FSR.  Scans of
+the same light through the same etalon on the same grid, noisy or not,
+share one cached, read-only table of grid and expected counts.  A scan
+grid holds at most ``MAX_SCAN_POINTS`` points.
 
 The worst side peak of a source cascade is searched on a fine grid, but the
 profile is evaluated only where it could reach it: an upper bound per block
@@ -233,10 +235,12 @@ class Spectrum:
             raise ConfigError("spectrum detunings must be strictly increasing")
         if np.any(expected < 0):
             raise ConfigError("spectrum expected counts must be non-negative")
-        if self.seed is not None and expected.max() > POISSON_LAM_MAX:
-            raise ConfigError(
-                f"expected count {expected.max():.3g} exceeds the Poisson "
-                f"sampler's limit {POISSON_LAM_MAX:.3g}; lower the photon number")
+        if self.seed is not None:
+            check_seed(self.seed)  # here, not at the first read
+            if expected.max() > POISSON_LAM_MAX:
+                raise ConfigError(
+                    f"expected count {expected.max():.3g} exceeds the Poisson "
+                    f"sampler's limit {POISSON_LAM_MAX:.3g}; lower the photon number")
         for name, a in (("detuning_ghz", grid), ("expected", expected)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -442,21 +446,23 @@ def extract_peaks(s: Spectrum, eoms,
         positions.extend((+freq[lab], -freq[lab]))
     # each position's grid point, found once for the heights and error bars
     idx = s.nearest_indices(positions)
-    # two positions on one point make two equal rows of the solve below:
-    # refused before it, and before any draw
-    first = {}
-    for pos, k in zip(positions, idx.tolist()):
-        if k in first:
-            raise ConfigError(f"peak positions {first[k]} and {pos} GHz fall on "
-                              f"one scan point; their heights cannot be told apart")
-        first[k] = pos
+    # the Airy rows repeat every FSR: two points equal modulo it make two
+    # equal or nearly equal rows of the solve below, refused before it and
+    # before any draw.  The closest two are neighbours round the FSR circle.
+    at, fsr = s.detuning_ghz[idx], s.scan_etalon.fsr_ghz
+    half = 0.5 * float(s.detuning_ghz[1] - s.detuning_ghz[0])
+    circle = sorted(zip((at % fsr).tolist(), range(len(positions))))
+    for (ra, i), (rb, j) in zip(circle, circle[1:] + circle[:1]):
+        if i != j and (rb - ra) % fsr <= half:
+            raise ConfigError(f"peak positions {positions[i]} and {positions[j]} "
+                              f"GHz fall on one scan point modulo the {fsr} GHz "
+                              f"scan FSR; their heights cannot be told apart")
     y, err = s.counts(idx)
     # The measured spectrum is a sum of one Airy line per component, so the
     # intensities at the component positions form a small linear system
     # whose solution removes every peak's tail from every other peak: this
     # is the baseline subtraction.
-    a = s.scan_etalon.transmission(s.detuning_ghz[idx][:, None]
-                                   - np.array(positions))
+    a = s.scan_etalon.transmission(at[:, None] - np.array(positions))
     heights = np.linalg.solve(a, y)
     carrier = float(heights[0])
 

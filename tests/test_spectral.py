@@ -393,10 +393,11 @@ def test_extract_peaks_draws_only_the_points_it_reads(bench, monkeypatch):
 
 def test_concurrent_reads_equal_the_serial_reads(bench):
     """Four threads read, at once, the same noisy spectra and spectra of
-    their own: peak reads first, then full reads.  With the interpreter
-    switching threads every microsecond, each read still equals the serial
-    read, since every thread draws with its own generator, reset before
-    each point."""
+    their own: peak reads first, then full reads, in eight rounds of fresh
+    spectra.  With the interpreter switching threads every microsecond,
+    each read still equals the serial read, since each read draws with its
+    own generator, reset before each point.  A generator shared by the
+    reads is caught in most single rounds, not in all."""
     seeds = {"shared": (3, 4), 0: (5, 6), 1: (7, 8), 2: (9, 10), 3: (11, 12)}
 
     def reads(spectra):
@@ -405,30 +406,31 @@ def test_concurrent_reads_equal_the_serial_reads(bench):
 
     want = {key: reads([noisy_bit1(bench, seed) for seed in pair])
             for key, pair in seeds.items()}
-    shared = [noisy_bit1(bench, seed) for seed in seeds["shared"]]
-    own = {t: [noisy_bit1(bench, seed) for seed in seeds[t]] for t in range(4)}
-    start, got = threading.Barrier(4), {}
+    for _ in range(8):
+        shared = [noisy_bit1(bench, seed) for seed in seeds["shared"]]
+        own = {t: [noisy_bit1(bench, seed) for seed in seeds[t]] for t in range(4)}
+        start, got = threading.Barrier(4), {}
 
-    def work(t):
-        start.wait(timeout=30)
-        got[t] = reads(shared + own[t])
+        def work(t):
+            start.wait(timeout=30)
+            got[t] = reads(shared + own[t])
 
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for t in range(4):
-        peaks, full = got[t]
-        assert peaks == want["shared"][0] + want[t][0]
-        for (y, err), (y0, err0) in zip(full, want["shared"][1] + want[t][1]):
-            assert np.array_equal(y, y0) and np.array_equal(err, err0)
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(4):
+            peaks, full = got[t]
+            assert peaks == want["shared"][0] + want[t][0]
+            for (y, err), (y0, err0) in zip(full, want["shared"][1] + want[t][1]):
+                assert np.array_equal(y, y0) and np.array_equal(err, err0)
 
 
 def test_scan_grid_size_is_limited(bench):
@@ -538,6 +540,12 @@ def test_spectrum_validation():
     assert Spectrum(np.array([0.0, 1.0]), huge, "det0", scan).counts(1)[0] == 1e19
     with pytest.raises(ConfigError, match="Poisson"):
         Spectrum(np.array([0.0, 1.0]), huge, "det0", scan, seed=0)
+    # a noisy spectrum's seed is refused when it is built, not when read
+    for seed in (-1, 2**64, 1.5, True, "3"):
+        with pytest.raises(ConfigError, match="seed must be"):
+            Spectrum(np.array([0.0, 1.0]), np.ones(2), "det0", scan, seed=seed)
+    assert Spectrum(np.array([0.0, 1.0]), np.ones(2), "det0", scan,
+                    seed=np.uint64(2**64 - 1)).counts([0, 1])[0].size == 2
 
 
 def test_spectra_are_read_only_values(bench):
@@ -609,14 +617,23 @@ def test_extract_peaks_refuses_a_nan_modulation_frequency(bench):
 
 
 def test_extract_peaks_refuses_two_positions_on_one_scan_point(bench, monkeypatch):
-    """F at E's 2.8 GHz, which a DeviceConfig refuses, passed straight to
-    the extraction: refused before any draw, not a singular solve."""
-    eoms = [dataclasses.replace(e, freq_ghz=2.8) if e.label == "F" else e
-            for e in bench.eoms]
+    """F passed straight to the extraction at frequencies a DeviceConfig
+    refuses: at E's 2.8 GHz, on E's grid point; at 4.0 GHz, where +-F sit
+    on the grid's two ends, one 8 GHz scan FSR apart (a singular solve);
+    at 3.99 GHz, on those ends again (a solve of condition number 2e15).
+    Each is refused before any draw and before the solve, noisy or not.
+    The carrier alone is not compared with itself."""
+    spectra = (noise_off(bench, "calibration", "det0"), noisy_bit1(bench))
+    assert [extract_peaks(s, []).carrier_height > 0.0 for s in spectra] == [True] * 2
     monkeypatch.setattr(spectral, "point_poisson", None)  # any draw fails
-    for s in (noise_off(bench, "calibration", "det0"), noisy_bit1(bench)):
-        with pytest.raises(ConfigError, match="2.8 and 2.8 GHz fall on one scan"):
-            extract_peaks(s, eoms)
+    monkeypatch.setattr(spectral.np.linalg, "solve", None)  # so does the solve
+    for freq, pair in ((2.8, "2.8 and 2.8"), (4.0, "4.0 and -4.0"),
+                       (3.99, "3.99 and -3.99")):
+        eoms = [dataclasses.replace(e, freq_ghz=freq) if e.label == "F" else e
+                for e in bench.eoms]
+        for s in spectra:
+            with pytest.raises(ConfigError, match=f"{pair} GHz fall on one scan"):
+                extract_peaks(s, eoms)
 
 
 def test_extract_peaks_calibration_gate(bench):

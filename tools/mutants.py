@@ -235,21 +235,29 @@ MUTANTS = (
       "tests/test_rand.py::test_point_poisson_equals_per_point_substreams[100-0]",
       "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[None-0]",
       "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1]")),
-    # a point starts on the words the previous point, or the thread's last
-    # read, left in the generator's buffer
+    # a point starts on the words the previous point left in the
+    # generator's buffer
     ("generator-buffer-kept", RAND,
      "            bitgen.state = state\n",
      '            state.update({k: bitgen.state[k] for k in ("buffer", "buffer_pos")})\n'
      "            bitgen.state = state\n",
      ("tests/test_rand.py::test_point_poisson_equals_per_point_substreams[None-0]",
       "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[None-0]",
-      "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[100-0]",
-      CONCURRENT_TESTS)),
-    # every thread re-keys one shared generator between another's reset and
-    # its draw
-    ("generator-shared-by-threads", RAND,
-     "_local = threading.local()",
-     '_local = type("Shared", (), {})()',
+      "tests/test_rand.py::test_point_poisson_of_a_subset_equals_the_full_draw[100-0]")),
+    # the pool of the label's spawn key with a point 0 appended: every key
+    # takes one mixing step too many
+    ("label-pool-of-point-zero", RAND,
+     "np.random.SeedSequence(seed, spawn_key=(label,))",
+     "np.random.SeedSequence(seed, spawn_key=(label, 0))",
+     ("tests/test_rand.py::test_point_keys_equal_seed_sequence_keys[0-0]",
+      "tests/test_rand.py::test_point_keys_equal_seed_sequence_keys[4294967295-18446744073709551615]",
+      "tests/test_rand.py::test_point_poisson_equals_per_point_substreams[None-0]",
+      "tests/test_spectral.py::test_noisy_scan_equals_the_per_point_stream_loop[0-1]")),
+    # every read re-keys one shared generator, so a thread can draw between
+    # another's reset and its draw
+    ("generator-shared-by-reads", RAND,
+     "    bitgen = np.random.Philox(0)\n",
+     '    bitgen = point_poisson.__dict__.setdefault("shared", np.random.Philox(0))\n',
      (CONCURRENT_TESTS,)),
     ("airy-approximate-sin", SPECTRAL,
      "s = np.sin(math.pi * detuning_ghz / self.fsr_ghz)",
@@ -416,7 +424,7 @@ MUTANTS = (
      "",
      (CLI_TESTS + "test_noisy_spectrum_draws_each_point_once",)),
     ("no-poisson-limit", SPECTRAL,
-     "if self.seed is not None and expected.max() > POISSON_LAM_MAX:",
+     "if expected.max() > POISSON_LAM_MAX:",
      "if False:",
      (CLI_TESTS + "test_malformed_flags_and_unwritable_paths_exit_2[photons 1e300]",
       "tests/test_spectral.py::test_spectrum_validation")),
@@ -438,9 +446,25 @@ MUTANTS = (
      "",
      ("tests/test_spectral.py::test_scans_share_one_expected_count_table",)),
     # two equal rows reach the solve, or the draws
-    ("two-peaks-on-one-point-unchecked", SPECTRAL,
-     "        if k in first:\n",
+    ("close-peak-positions-unchecked", SPECTRAL,
+     "        if i != j and (rb - ra) % fsr <= half:\n",
      "        if False:\n",
+     ("tests/test_spectral.py::test_extract_peaks_refuses_two_positions_on_one_scan_point",)),
+    # the carrier alone, without modulators, meets itself round the circle
+    ("close-peaks-lone-carrier-refused", SPECTRAL,
+     "        if i != j and (rb - ra) % fsr <= half:\n",
+     "        if (rb - ra) % fsr <= half:\n",
+     ("tests/test_spectral.py::test_extract_peaks_refuses_two_positions_on_one_scan_point",)),
+    # grid points compared on the line, not round the FSR circle: only
+    # positions on one grid point are refused, and +-F one scan FSR apart
+    # reach the solve
+    ("close-peaks-not-modulo-fsr", SPECTRAL,
+     "    circle = sorted(zip((at % fsr).tolist(), range(len(positions))))\n"
+     "    for (ra, i), (rb, j) in zip(circle, circle[1:] + circle[:1]):\n"
+     "        if i != j and (rb - ra) % fsr <= half:\n",
+     "    circle = sorted(zip(at.tolist(), range(len(positions))))\n"
+     "    for (ra, i), (rb, j) in zip(circle, circle[1:]):\n"
+     "        if i != j and rb - ra <= half:\n",
      ("tests/test_spectral.py::test_extract_peaks_refuses_two_positions_on_one_scan_point",)),
     # the weak-value identity per sideband component: the phase of each
     # sideband, which no intensity on the benches shows
