@@ -278,7 +278,6 @@ class TraceReport:
     """
 
     values: dict[str, float]
-    postselection: complex
 
 
 def weak_trace(circuit: Circuit, detector: str) -> TraceReport:
@@ -287,7 +286,7 @@ def weak_trace(circuit: Circuit, detector: str) -> TraceReport:
     values = {arm: abs(tsv.backward[k].amp(arm, CARRIER).conjugate()
                        * tsv.forward[k].amp(arm, CARRIER)) / aps
               for arm, k in _consuming_indices(circuit, REPORT_ARMS).items()}
-    return TraceReport(values, tsv.postselection)
+    return TraceReport(values)
 
 
 def sideband_strengths(report: TraceReport, cfg: DeviceConfig) -> dict[str, float]:
@@ -452,7 +451,7 @@ def expand_folded(dev: FoldedDevice) -> Circuit:
 
     def eom(site: str, arm: str, instance: int) -> Eom:
         s = eoms[site]
-        return Eom(arm, s.label, s.freq_ghz, s.alpha, instance)
+        return Eom(arm, s.label, s.alpha, instance)
 
     def inner_pass(n: int, into: str, split_r2: float, vacuum: str, shut: str,
                    open_: str, loss: str, merge_r2: float, merged: str,

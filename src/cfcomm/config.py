@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .errors import ConfigError
@@ -99,15 +99,15 @@ class DeviceConfig:
     """Complete description of one transmission bench."""
 
     eoms: tuple[EomSpec, ...]
-    beamsplitter_r2: float | tuple[tuple[str, float], ...] = 0.5
-    attenuator_t: float | str = "auto"
-    source_etalons: tuple[Etalon, ...] = ()
-    scan_etalon: Etalon = Etalon(8.0, 0.1)
-    source_raw_linewidth_ghz: float = 1000.0
-    imperfections: ImperfectionModel = field(default_factory=ImperfectionModel)
-    photon_rate_hz: float = 1000.0
-    bin_duration_s: float = 1.0
-    seed: int = 0
+    beamsplitter_r2: float | tuple[tuple[str, float], ...]
+    attenuator_t: float | str
+    source_etalons: tuple[Etalon, ...]
+    scan_etalon: Etalon
+    source_raw_linewidth_ghz: float
+    imperfections: ImperfectionModel
+    photon_rate_hz: float
+    bin_duration_s: float
+    seed: int
 
     __hash__ = hash_once
 

@@ -173,11 +173,12 @@ def Mirror(source: str, target: str) -> Linear:
 
 @dataclass(frozen=True)
 class Eom:
-    """Phase modulator: tags the passing carrier with +-freq sidebands."""
+    """Phase modulator: tags the passing carrier with its label's +-
+    sidebands.  Tags hold no frequency; scans read each label's from the
+    config's modulators."""
 
     mode: str
     label: str
-    freq_ghz: float
     alpha: float
     instance: int = 1
 
@@ -186,9 +187,6 @@ class Eom:
             raise ConfigError(
                 f"modulation depth alpha={self.alpha} outside [0, {ALPHA_MAX}]"
                 " (first-order sideband model invalid)")
-        if not 0.0 < self.freq_ghz < math.inf:  # NaN fails it too
-            raise ConfigError(
-                f"modulator frequency must be positive and finite, got {self.freq_ghz}")
 
 
 Element = Union[Linear, Eom]

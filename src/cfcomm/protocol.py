@@ -318,7 +318,7 @@ def send_bit(cfg: DeviceConfig, bit: int, index: int = 0, *,
         raise ConfigError(f"bit must be 0 or 1, got {bit!r}")
     if seed is None:
         seed = cfg.seed
-    u = bit_uniforms(seed, index, 1, 2)
+    u = bit_uniforms(seed, index, 1)
     received, erased, trials = _decode_block(
         np.array([bit]), u[:, 0], u[:, 1], cfg, _parse_policy(policy))
     return BitResult(None if erased[0] else int(received[0]), int(trials[0]))
@@ -441,7 +441,7 @@ def transmit_image(cfg: DeviceConfig, image: Bitmap, *,
     if seed is None:
         seed = cfg.seed
     bits = image.bits.astype(np.int64)
-    u = bit_uniforms(seed, 0, bits.size, 2)
+    u = bit_uniforms(seed, 0, bits.size)
     received, erased, trials = _decode_block(
         bits, u[:, 0], u[:, 1], cfg, _parse_policy(policy))
 

@@ -14,10 +14,11 @@ Two stream families, both keyed on a single user seed:
   points draws what a full scan draws at them, in any thread.
 * :func:`bit_uniforms` — counter-based Philox4x64-10 (Salmon et al.,
   "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Channel use ``i``
-  owns the counters ``(b, 0, i, 0)``, ``b = 1, 2, ...``, under one key per
-  seed, so its uniforms are a pure function of ``(seed, i)``: bit ``i`` draws
-  the same variates whether bits are sampled one by one or in blocks, and a
-  block of any size costs one vectorised pass of :func:`philox4x64_10`.
+  owns the one counter ``(1, 0, i, 0)`` under one key per seed, and its two
+  uniforms are the first two words of that block: a pure function of
+  ``(seed, i)``.  One bit and a block of any size take the same path, one
+  vectorised ``uint64`` pass of :func:`philox4x64_10`, so bit ``i`` draws
+  the same variates whether bits are sampled one by one or in blocks.
 
 Both families accept the same seeds, the integers in ``[0, 2**64)``; any
 other seed raises :class:`~cfcomm.errors.ConfigError` (:func:`check_seed`).
@@ -51,14 +52,19 @@ _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, if it is an integer (numpy's too) but no bool."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def check_seed(seed) -> int:
     """The seed as an int, if it is an integer in ``[0, 2**64)``."""
-    if isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    value = _integer(seed, "seed")
     if not 0 <= value <= _MASK64:  # one Philox key word
         raise ConfigError(f"seed must be in [0, 2**64), got {value}")
     return value
@@ -156,14 +162,9 @@ def point_poisson(seed: int, points, lam,
     return counts, drawn
 
 
-def _mulhilo(a: int, b):
-    """High and low 64-bit words of the 128-bit product ``a * b``.
-
-    ``b`` is an int or a ``uint64`` array; arrays take the 32-bit split.
-    """
-    if isinstance(b, int):
-        p = a * b
-        return p >> 64, p & _MASK64
+def _mulhilo(a: int, b: np.ndarray):
+    """High and low 64-bit words of the 128-bit products ``a * b`` of an int
+    and each word of a ``uint64`` array, from their 32-bit halves."""
     a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
     b_lo, b_hi = b & _LO32, b >> _SHIFT32
     t = a_lo * b_lo
@@ -175,8 +176,8 @@ def _mulhilo(a: int, b):
 def philox4x64_10(ctr, key):
     """Philox4x64-10 block function of four counter words and two key words.
 
-    Counter words are ints or broadcastable ``uint64`` arrays, mapped
-    elementwise; key words are ints.  Returns the four output words.
+    Counter words are ``uint64`` arrays of one shape, mapped elementwise;
+    key words are ints.  Returns the four output words.
     """
     c0, c1, c2, c3 = ctr
     k0, k1 = key
@@ -189,32 +190,25 @@ def philox4x64_10(ctr, key):
     return c0, c1, c2, c3
 
 
-def bit_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    """Uniforms for a contiguous block of channel uses, shape (count, draws).
+def bit_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Two uniforms per channel use of a block, shape ``(count, 2)``.
 
-    The key is ``(seed, BIT_STREAM_SALT)``.  Row ``i`` reads the
-    Philox4x64-10 blocks at counters ``(1, 0, start + i, 0)``,
-    ``(2, 0, start + i, 0)``, ... word by word, and maps each word ``w`` to
-    ``(w >> 11) * 2**-53``.  That is bit for bit
-    ``Generator(Philox(key=np.array(key, dtype=np.uint64)).jumped(start +
-    i)).random(draws)``, so block sampling and one-at-a-time sampling agree.
-    Indices outside ``[0, 2**128)`` raise :class:`ConfigError`.
+    The key is ``(seed, BIT_STREAM_SALT)``.  Row ``i`` reads the first two
+    words of the Philox4x64-10 block at counter ``(1, 0, start + i, 0)``
+    and maps each word ``w`` to ``(w >> 11) * 2**-53``.  That is bit for
+    bit ``Generator(Philox(key=np.array(key, dtype=np.uint64)).jumped(start
+    + i)).random(2)``, so block sampling and one-at-a-time sampling agree.
+    ``start`` is an integer (numpy's too), never a bool; indices outside
+    ``[0, 2**128)`` raise :class:`ConfigError`.
     """
-    # numpy integers become ints, which take the 64-bit masks below
-    key, start = (check_seed(seed), BIT_STREAM_SALT), int(start)
+    key = (check_seed(seed), BIT_STREAM_SALT)
+    start = _integer(start, "the index of channel uses")
     if not 0 <= start <= start + count <= 2**128:  # two counter words
         raise ConfigError(f"channel uses must be in [0, 2**128), got "
                           f"{count} from index {start}")
-    # counter words 2 and 3 hold the 128-bit channel-use index start + i;
-    # a single use stays in ints, which beats numpy's per-call overhead
-    if count == 1:
-        index = (start & _MASK64, start >> 64 & _MASK64)
-    else:
-        lo_start = np.uint64(start & _MASK64)
-        lo = lo_start + np.arange(count, dtype=np.uint64)
-        index = (lo, np.uint64(start >> 64 & _MASK64) + (lo < lo_start))
-    blocks = -(-draws // 4)
-    words = [w for b in range(1, blocks + 1)
-             for w in philox4x64_10((b, 0, *index), key)]
-    words = np.array(words, dtype=np.uint64).T.reshape(count, 4 * blocks)
-    return (words[:, :draws] >> np.uint64(11)) * 2.0**-53
+    # counter words 2 and 3 hold the 128-bit channel-use index start + i
+    lo_start = np.uint64(start & _MASK64)
+    lo = lo_start + np.arange(count, dtype=np.uint64)
+    hi = np.uint64(start >> 64 & _MASK64) + (lo < lo_start)
+    words = philox4x64_10((np.ones_like(lo), np.zeros_like(lo), lo, hi), key)
+    return (np.stack(words[:2], axis=1) >> np.uint64(11)) * 2.0**-53

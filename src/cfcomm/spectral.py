@@ -96,8 +96,6 @@ class CascadeReport:
 
     effective_linewidth_ghz: float
     sidepeak_suppression_db: float
-    worst_sidepeak_ghz: float
-    window_ghz: float
 
 
 def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
@@ -118,7 +116,7 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
     product of these maxima bounds the profile on the block.  Only blocks
     whose bound reaches the maximum of the block with the highest bound are
     evaluated; every other point lies strictly below that maximum, so the
-    worst side peak is the first maximum of the full grid.
+    worst side peak is the maximum of the full grid.
     """
     etalons = tuple(etalons)
     if not etalons:
@@ -177,27 +175,20 @@ def source_filter_cascade(etalons, raw_linewidth_ghz: float, *,
         comb = np.floor(b / e.fsr_ghz + 1e-9) >= np.ceil(a / e.fsr_ghz - 1e-9)
         bound *= np.where(comb, 1.0, e.transmission(ends).max(axis=0))
     # the block of the highest bound sets a floor on the worst side peak;
-    # every block whose bound could reach it is evaluated, in grid order, so
-    # the first maximum of these points is the first maximum of the grid.
-    # The slack is far above the rounding of the bounds.
+    # every block whose bound could reach it is evaluated, so the maximum of
+    # these points is the maximum of the grid.  The slack is far above the
+    # rounding of the bounds.
     top = starts[np.argmax(bound)]
     best = profile(grid[top:top + _BLOCK]).max()
     blocks = starts[bound * (1.0 + 1e-6) >= best]
     kept = (blocks[:, None] + np.arange(_BLOCK)).ravel()
     kept = kept[kept < grid.size]
-    vals = profile(grid[kept])
-    i = int(np.argmax(vals))
-    k = int(kept[i])
-    worst = float(vals[i]) / peak
+    worst = float(profile(grid[kept]).max()) / peak
     if worst == 0.0:
         raise ConfigError("the cascade's side peaks underflow to zero: their "
                           "suppression is beyond the float range")
-    return CascadeReport(
-        effective_linewidth_ghz=fwhm,
-        sidepeak_suppression_db=-10.0 * math.log10(worst),
-        worst_sidepeak_ghz=float(grid[k]),
-        window_ghz=window,
-    )
+    return CascadeReport(effective_linewidth_ghz=fwhm,
+                         sidepeak_suppression_db=-10.0 * math.log10(worst))
 
 
 # --------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def oracle_listing(cfg, preset: str, include_eoms: bool = True) -> list:
     from cfcomm.circuit import preset_tuning
 
     tun = preset_tuning(cfg, preset)
-    eoms = ({e.site: (e.label, e.freq_ghz, e.alpha) for e in cfg.eoms}
+    eoms = ({e.site: (e.label, e.alpha) for e in cfg.eoms}
             if include_eoms else {})
     r2 = {name: cfg.r2(name) for name in ("outer", "inner_near", "inner_far")}
     return oracles.bench_listing(r2, eoms, tun.attenuator_t, tun.inner_phase,
@@ -78,7 +78,7 @@ def as_listing(c) -> list:
     ``oracles.bench_listing``."""
     from cfcomm.optics import Eom
 
-    return [("modulator", (e.mode,), (e.mode,), (e.label, e.freq_ghz, e.alpha, e.instance))
+    return [("modulator", (e.mode,), (e.mode,), (e.label, e.alpha, e.instance))
             if isinstance(e, Eom) else (e.name, e.ins, e.outs, e.m) for e in c.elements]
 
 

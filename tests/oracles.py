@@ -287,9 +287,9 @@ def bench_listing(r2: dict, eoms: dict, attenuator_t: float, inner_phase: float,
     meets them, as plain ``(name, ins, outs, m)`` tuples.
 
     ``r2`` maps ``outer``, ``inner_near`` and ``inner_far`` to reflectances;
-    ``eoms`` maps a modulator site to ``(label, freq_ghz, alpha)`` and is
-    empty for a bench without modulators.  A modulator is listed as
-    ``("modulator", (arm,), (arm,), (label, freq_ghz, alpha, instance))``,
+    ``eoms`` maps a modulator site to ``(label, alpha)`` and is empty for a
+    bench without modulators.  A modulator is listed as
+    ``("modulator", (arm,), (arm,), (label, alpha, instance))``,
     with instance 2 on the second inner pass.  The mirror sends the light
     back through the inner loop, so the second pass splits at ``inner_far``
     and merges at ``inner_near``.  With ``shutter`` set, both shutter arms
@@ -308,8 +308,8 @@ def bench_listing(r2: dict, eoms: dict, attenuator_t: float, inner_phase: float,
     def eom(site, arm, instance):
         if site not in eoms:
             return []
-        label, freq, alpha = eoms[site]
-        return [("modulator", (arm,), (arm,), (label, freq, alpha, instance))]
+        label, alpha = eoms[site]
+        return [("modulator", (arm,), (arm,), (label, alpha, instance))]
 
     t = attenuator_t
     return [
@@ -361,7 +361,7 @@ def listing_terminal(listing) -> dict:
     amps = {("source", ()): 1.0 + 0j}
     for name, ins, outs, m in listing:
         if name == "modulator":
-            label, _, alpha, instance = m
+            label, alpha, instance = m
             amps = first_order_pass(amps, ins[0], label, alpha, instance)
         else:
             amps = transfer(amps, ins, outs, m, adjoint=False)
@@ -394,7 +394,7 @@ def two_state_terminal(listing, sources, detector: str) -> tuple[complex, dict]:
     for k in reversed(range(len(listing))):
         name, ins, outs, m = listing[k]
         if name == "modulator":
-            label, _, alpha, instance = m
+            label, alpha, instance = m
             arm = (ins[0], ())
             w = alpha * forward[k].get(arm, 0j) * backward.get(arm, 0j).conjugate()
             for sign in (+1, -1):

@@ -496,7 +496,7 @@ def test_validate_rejects_write_into_used_arm():
     ((Beamsplitter(0.5, "a", "vac", "c", "d"), Attenuator("c", 0.5, "d")),
      ("c", "d"), "^attenuator writes into already-used"),
     ((Mirror("x", "b"),), ("a", "b"), "^mirror acts on virgin"),
-    ((Eom("x", "A", 1.0, 0.1),), ("a",), "^modulator A acts on virgin"),
+    ((Eom("x", "A", 0.1),), ("a",), "^modulator A acts on virgin"),
 ], ids=["splitter-equal-ins", "splitter-equal-outs", "splitter-reuses-consumed",
         "shutter-on-virgin", "loss-port-into-used", "mirror-from-virgin",
         "modulator-on-virgin"])

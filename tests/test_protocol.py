@@ -372,7 +372,7 @@ def test_decode_block_unclickable_channel(fitted, monkeypatch):
     dead = protocol.TrialProbs(0.0, 0.0)
     monkeypatch.setattr(protocol, "trial_probs", lambda cfg, bit: dead)
     bits = np.array([0, 1, 1])
-    u = bit_uniforms(0, 0, 3, 2)
+    u = bit_uniforms(0, 0, 3)
     for policy, want_trials in (("first", 1000), ("majority", 0)):
         received, erased, trials = _decode_block(bits, u[:, 0], u[:, 1],
                                                  fitted, (policy, 3))

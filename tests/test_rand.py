@@ -14,39 +14,37 @@ SEEDS = [0, 1, 2**53 + 1, 2**60, 2**60 + 1, 2**63 + 5, 2**64 - 1, 2**64 + 7]
 BAD_SEEDS = [-1, 2**64, 1.0, True, "3", None]
 
 
-def numpy_stream(seed: int, index: int, draws: int) -> np.ndarray:
-    """The per-bit stream as numpy's own Philox draws it."""
+def numpy_stream(seed: int, index: int) -> np.ndarray:
+    """The two uniforms of one channel use as numpy's own Philox draws them."""
     key = np.array([seed, BIT_STREAM_SALT], dtype=np.uint64)
     return np.random.Generator(
-        np.random.Philox(key=key).jumped(index)).random(draws)
+        np.random.Philox(key=key).jumped(index)).random(2)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("start", [0, 12345])
-@pytest.mark.parametrize("draws", [1, 2, 3, 4, 5])
-def test_bit_uniforms_equal_numpy_per_bit_streams(seed, start, draws):
-    """Equal to numpy wherever its uint64 key holds the seed; refused past."""
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
+def test_bit_uniforms_equal_numpy_per_bit_streams(seed, start, count):
+    """Blocks of 1 to 6 channel uses, two uniforms each: equal to numpy
+    wherever its uint64 key holds the seed; refused past."""
     if seed >= 2**64:
         with pytest.raises(OverflowError):
-            numpy_stream(seed, start, draws)
-        for count in (1, 6):
-            with pytest.raises(ConfigError, match="seed"):
-                bit_uniforms(seed, start, count, draws)
+            numpy_stream(seed, start)
+        with pytest.raises(ConfigError, match="seed"):
+            bit_uniforms(seed, start, count)
         return
-    for count in (1, 6):
-        got = bit_uniforms(seed, start, count, draws)
-        want = np.array([numpy_stream(seed, start + i, draws)
-                         for i in range(count)])
-        assert got.shape == (count, draws)
-        assert np.array_equal(got, want)
+    got = bit_uniforms(seed, start, count)
+    want = np.array([numpy_stream(seed, start + i) for i in range(count)])
+    assert got.shape == (count, 2)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("start, count", [(2**64 - 2, 4), (2**64 + 5, 1),
                                           (2**128 - 2, 2)])
 def test_bit_uniforms_past_a_64_bit_index(start, count):
     """Indices from 2**64 on use counter word 3, as numpy's jumps do."""
-    got = bit_uniforms(3, start, count, 2)
-    want = np.array([numpy_stream(3, start + i, 2) for i in range(count)])
+    got = bit_uniforms(3, start, count)
+    want = np.array([numpy_stream(3, start + i) for i in range(count)])
     assert np.array_equal(got, want)
 
 
@@ -61,8 +59,7 @@ def test_bit_uniforms_past_a_64_bit_index(start, count):
       0xa5a1610e72fd18b5, 0x57bd43b5e52b7fe6)),
 ])
 def test_philox_known_answers(ctr, key, want):
-    """Random123's philox4x64_10 known-answer vectors, as ints and arrays."""
-    assert tuple(philox4x64_10(ctr, key)) == want
+    """Random123's philox4x64_10 known-answer vectors, on uint64 arrays."""
     arrays = [np.full(3, c, dtype=np.uint64) for c in ctr]
     for word, w in zip(philox4x64_10(arrays, key), want):
         assert word.dtype == np.uint64 and (word == w).all()
@@ -71,8 +68,8 @@ def test_philox_known_answers(ctr, key, want):
 @pytest.mark.parametrize("count", [1, 3])
 def test_bit_uniforms_take_numpy_integers(count):
     """numpy integer seeds and starts give the same streams as Python ints."""
-    got = bit_uniforms(np.int64(3), np.uint64(7), count, 2)
-    assert np.array_equal(got, bit_uniforms(3, 7, count, 2))
+    got = bit_uniforms(np.int64(3), np.uint64(7), count)
+    assert np.array_equal(got, bit_uniforms(3, 7, count))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1, 2**53 - 1])
@@ -83,23 +80,23 @@ def test_streams_below_2_53_keep_the_list_keyed_philox(seed):
     assert [int(k) for k in list_keyed.state["state"]["key"]] == [
         seed, BIT_STREAM_SALT]
     want = np.random.Generator(list_keyed.jumped(3)).random(2)
-    assert np.array_equal(bit_uniforms(seed, 3, 1, 2)[0], want)
+    assert np.array_equal(bit_uniforms(seed, 3, 1)[0], want)
 
 
 @pytest.mark.parametrize("seed", [2**53, 2**60, 2**63 + 5])
 def test_neighbouring_large_seeds_give_distinct_streams(seed):
     """Seeds past 2**53 are keyed exactly, not rounded onto a neighbour."""
-    assert not np.array_equal(bit_uniforms(seed, 0, 4, 2),
-                              bit_uniforms(seed + 1, 0, 4, 2))
+    assert not np.array_equal(bit_uniforms(seed, 0, 4),
+                              bit_uniforms(seed + 1, 0, 4))
 
 
 @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
 def test_seeds_outside_0_to_2_64_are_rejected(seed):
     """Both stream families take the integers in [0, 2**64) and nothing else."""
     with pytest.raises(ConfigError, match="seed"):
-        bit_uniforms(seed, 0, 1, 2)
+        bit_uniforms(seed, 0, 1)
     with pytest.raises(ConfigError, match="seed"):
-        bit_uniforms(seed, 0, 3, 2)
+        bit_uniforms(seed, 0, 3)
     with pytest.raises(ConfigError, match="seed"):
         substream(seed, 0, 1)
 
@@ -109,12 +106,15 @@ def test_seeds_outside_0_to_2_64_are_rejected(seed):
 def test_channel_uses_outside_0_to_2_128_are_rejected(start, count):
     """No index wraps onto another channel use's stream."""
     with pytest.raises(ConfigError, match="channel uses"):
-        bit_uniforms(3, start, count, 2)
+        bit_uniforms(3, start, count)
 
 
 def test_send_bit_rejects_a_negative_index():
-    with pytest.raises(ConfigError, match="channel uses"):
-        send_bit(reference_device(), 1, index=-1)
+    """And every index that is not an integer, where none rounds onto a use."""
+    cfg = reference_device()
+    for index in (-1, 1.5, 1.9, True, "1", np.float64(1.0)):
+        with pytest.raises(ConfigError, match="channel uses"):
+            send_bit(cfg, 1, index=index)
 
 
 # -- per-point Poisson streams ----------------------------------------------

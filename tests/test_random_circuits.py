@@ -23,8 +23,8 @@ from cfcomm.optics import (CARRIER, Attenuator, Beamsplitter, Block, Eom, Linear
 import oracles
 from conftest import stripped, weak_values_match_the_walk
 
-#: modulator labels and their frequencies in GHz
-LABELS = {"A": 2.1, "B": 1.0, "C": 1.6}
+#: modulator labels
+LABELS = ("A", "B", "C")
 
 KINDS = ("splitter", "phase", "attenuator", "shutter", "mirror", "modulator")
 
@@ -66,8 +66,8 @@ def circuits(draw) -> Circuit:
             live = [a for a in live if a != arm] + [target]
             elements.append(Mirror(arm, target))
         else:
-            label = draw(st.sampled_from(sorted(LABELS)))
-            elements.append(Eom(arm, label, LABELS[label], draw(st.floats(0.0, 0.5)),
+            label = draw(st.sampled_from(LABELS))
+            elements.append(Eom(arm, label, draw(st.floats(0.0, 0.5)),
                                 draw(st.integers(1, 3))))
     detectors = draw(st.lists(st.sampled_from(live), min_size=1, unique=True))
     return Circuit(tuple(elements), sources,
